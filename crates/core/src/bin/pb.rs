@@ -106,6 +106,19 @@ impl Args {
             },
         }
     }
+
+    /// Parses a count option: absent means "auto" (zero), and an
+    /// explicit zero is a usage error.
+    fn count_opt<T>(&self, name: &str) -> Result<T, CliError>
+    where
+        T: std::str::FromStr + Default + PartialEq,
+    {
+        let value = self.parse_opt(name, T::default())?;
+        if value == T::default() && self.options.contains_key(name) {
+            return usage_err(format!("--{name} must be at least 1"));
+        }
+        Ok(value)
+    }
 }
 
 fn parse_args(raw: &[String]) -> Result<Args, CliError> {
@@ -380,10 +393,7 @@ fn timeline_opts(args: &Args) -> Result<TimelineOpts, CliError> {
     let trace_out = args.options.get("trace-out").cloned();
     let timeline_out = args.options.get("timeline-out").cloned();
     let deterministic = args.flag("deterministic");
-    let interval: u64 = args.parse_opt("timeline-interval", 0)?;
-    if interval == 0 && args.options.contains_key("timeline-interval") {
-        return usage_err("--timeline-interval must be at least 1");
-    }
+    let interval: u64 = args.count_opt("timeline-interval")?;
     if deterministic && trace_out.is_some() {
         return usage_err(
             "--trace-out records wall-clock spans, which --deterministic replaces \
@@ -456,6 +466,25 @@ fn write_timeline_outputs(
     Ok(())
 }
 
+/// The engine `pb run`, `pb stream` and `pb live` share: the app plus
+/// the `--verify`, `--progress`, `--watch`, memo and timeline options,
+/// with status output serialized through `status`.
+fn engine_from(
+    args: &Args,
+    id: AppId,
+    memo: MemoMode,
+    tl: &TimelineOpts,
+    status: &Arc<StatusLine>,
+) -> Engine {
+    Engine::with_config(id, WorkloadConfig::default())
+        .verify(args.flag("verify"))
+        .progress(args.flag("progress"))
+        .watch(args.flag("watch"))
+        .status(Arc::clone(status))
+        .timeline(tl.spec)
+        .memo(memo)
+}
+
 fn trace_profile(name: &str) -> Result<TraceProfile, CliError> {
     match TraceProfile::by_name(name) {
         Some(p) => Ok(p),
@@ -501,7 +530,6 @@ fn cmd_run(args: &Args) -> Result<(), CliError> {
         SyntheticTrace::new(profile, seed).take_packets(n)
     };
 
-    let config = WorkloadConfig::default();
     let detail = Detail {
         uarch,
         ..Detail::counts()
@@ -517,13 +545,7 @@ fn cmd_run(args: &Args) -> Result<(), CliError> {
             .unwrap_or_else(|| "MRA".to_string()),
     };
     let status = Arc::new(StatusLine::default());
-    let engine = Engine::with_config(id, config)
-        .verify(verify)
-        .progress(args.flag("progress"))
-        .watch(args.flag("watch"))
-        .status(Arc::clone(&status))
-        .timeline(tl.spec)
-        .memo(memo);
+    let engine = engine_from(args, id, memo, &tl, &status);
     let run = engine
         .run(&packets, detail, threads)
         .map_err(|e| e.to_string())?;
@@ -563,20 +585,9 @@ fn cmd_stream(args: &Args) -> Result<(), CliError> {
     let verify = args.flag("verify");
     let uarch = args.flag("uarch");
 
-    // For streaming, 0 is never a meaningful value the user can ask for:
-    // absent options mean "auto", explicit zeros are mistakes.
-    let threads: usize = args.parse_opt("threads", 0)?;
-    if threads == 0 && args.options.contains_key("threads") {
-        return usage_err("--threads must be at least 1");
-    }
-    let chunk_size: usize = args.parse_opt("chunk-size", 0)?;
-    if chunk_size == 0 && args.options.contains_key("chunk-size") {
-        return usage_err("--chunk-size must be at least 1");
-    }
-    let max_inflight: usize = args.parse_opt("max-inflight", 0)?;
-    if max_inflight == 0 && args.options.contains_key("max-inflight") {
-        return usage_err("--max-inflight must be at least 1");
-    }
+    let threads: usize = args.count_opt("threads")?;
+    let chunk_size: usize = args.count_opt("chunk-size")?;
+    let max_inflight: usize = args.count_opt("max-inflight")?;
 
     let spec = SourceSpec::parse(source_arg).map_err(|e| CliError::Usage(e.to_string()))?;
     let limit: Option<u64> = match args.options.get("n") {
@@ -601,13 +612,7 @@ fn cmd_stream(args: &Args) -> Result<(), CliError> {
     let memo = memo_from(args)?;
     let tl = timeline_opts(args)?;
     let status = Arc::new(StatusLine::default());
-    let engine = Engine::with_config(id, WorkloadConfig::default())
-        .verify(verify)
-        .progress(args.flag("progress"))
-        .watch(args.flag("watch"))
-        .status(Arc::clone(&status))
-        .timeline(tl.spec)
-        .memo(memo);
+    let engine = engine_from(args, id, memo, &tl, &status);
     let run = engine
         .run_streaming(
             source,
@@ -659,23 +664,10 @@ fn cmd_live(args: &Args) -> Result<(), CliError> {
     let verify = args.flag("verify");
     let uarch = args.flag("uarch");
 
-    // Absent options mean "auto"; explicit zeros are mistakes.
-    let threads: usize = args.parse_opt("threads", 0)?;
-    if threads == 0 && args.options.contains_key("threads") {
-        return usage_err("--threads must be at least 1");
-    }
-    let ring: usize = args.parse_opt("ring", 0)?;
-    if ring == 0 && args.options.contains_key("ring") {
-        return usage_err("--ring must be at least 1");
-    }
-    let burst: usize = args.parse_opt("burst", 0)?;
-    if burst == 0 && args.options.contains_key("burst") {
-        return usage_err("--burst must be at least 1");
-    }
-    let loops: u64 = args.parse_opt("loops", 0)?;
-    if loops == 0 && args.options.contains_key("loops") {
-        return usage_err("--loops must be at least 1");
-    }
+    let threads: usize = args.count_opt("threads")?;
+    let ring: usize = args.count_opt("ring")?;
+    let burst: usize = args.count_opt("burst")?;
+    let loops: u64 = args.count_opt("loops")?;
     let rate = match args.options.get("rate") {
         None => RateSpec::Max,
         Some(v) => RateSpec::parse(v).map_err(|e| CliError::Usage(e.to_string()))?,
@@ -718,13 +710,7 @@ fn cmd_live(args: &Args) -> Result<(), CliError> {
     let memo = memo_from(args)?;
     let tl = timeline_opts(args)?;
     let status = Arc::new(StatusLine::default());
-    let engine = Engine::with_config(id, WorkloadConfig::default())
-        .verify(verify)
-        .progress(args.flag("progress"))
-        .watch(args.flag("watch"))
-        .status(Arc::clone(&status))
-        .timeline(tl.spec)
-        .memo(memo);
+    let engine = engine_from(args, id, memo, &tl, &status);
     let run = engine
         .run_live(
             &spec,
@@ -798,26 +784,7 @@ fn live_metrics_doc(id: AppId, source: &str, run: &packetbench::LiveRun) -> npob
         elapsed_ns: run.elapsed.as_nanos().min(u128::from(u64::MAX)) as u64,
         merge_ns: 0,
         hists: run.hists.clone(),
-        workers: run
-            .workers
-            .iter()
-            .map(|w| npobs::export::WorkerStat {
-                worker: w.worker,
-                packets: w.packets,
-                busy_ns: w.busy_ns,
-                idle_ns: w.idle_ns,
-                queue_depth: w.queue_depth,
-                memo_hits: w.memo_hits,
-                memo_misses: w.memo_misses,
-                memo_evictions: w.memo_evictions,
-                block_bailouts: w.block_bailouts,
-                traces_formed: w.traces_formed,
-                trace_hits: w.trace_hits,
-                trace_guard_exits: w.trace_guard_exits,
-                trace_declines: w.trace_declines,
-                ring_dropped: w.ring_dropped,
-            })
-            .collect(),
+        workers: run.workers.clone(),
         ring: Some(npobs::RingDoc {
             produced: run.produced,
             dropped: run.dropped,

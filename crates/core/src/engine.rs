@@ -1,6 +1,21 @@
-//! The parallel trace engine: fans a packet trace over sharded worker
-//! threads, each owning a private [`PacketBench`], and merges the results
+//! The trace engine: one run-to-completion worker core shared by the
+//! batch, streaming and live transports, and the batch transport itself,
+//! which fans a packet trace over sharded workers and merges the results
 //! back into trace order.
+//!
+//! ## The worker core
+//!
+//! Every mode runs the same per-packet step (`WorkerCore::step`):
+//! process the packet at its global trace index, optionally verify it
+//! against the golden model, fold it into the lane's timeline probe, and
+//! bump the shared progress counters. The core builds its private
+//! [`PacketBench`] on the first packet, with the engine's memo mode and
+//! trace parameters applied in one place, so idle workers cost nothing;
+//! and it finishes into [`WorkerMetrics`] in one place. The transports
+//! differ only in how packets reach a core: shard index lists
+//! ([`Engine::run`]), the bounded chunk queue ([`Engine::run_streaming`])
+//! or npring lanes ([`Engine::run_live`]). One monitor thread, one
+//! timeline assembly and one idle-time settlement serve all three.
 //!
 //! ## Determinism
 //!
@@ -14,14 +29,15 @@
 //!   packet's 5-tuple. Every flow that could share a hash chain lands on
 //!   the same worker, so each worker's chains evolve exactly as the
 //!   serial run's chains do and per-flow counts stay exact.
-//! * Workers process their packets in trace order and report
-//!   `(packet_index, record, emitted packets)` tuples; the engine
-//!   reassembles them into trace order, so records and output packets are
-//!   independent of scheduling. Output-packet timestamps come from the
-//!   global trace position ([`PacketBench::process_packet_at`]), not from
-//!   worker-local counters.
-//! * `threads <= 1` takes the exact serial path — one `PacketBench`, no
-//!   threads spawned.
+//! * Workers process their packets in trace order and report their
+//!   records and tagged output packets; the engine reassembles them into
+//!   trace order, so records and output packets are independent of
+//!   scheduling. Output-packet timestamps come from the global trace
+//!   position ([`PacketBench::process_packet_at`]), not from worker-local
+//!   counters.
+//! * With one worker the same core runs inline on the caller's thread: no
+//!   worker thread is spawned, and nothing is reassembled because the
+//!   records are already in trace order.
 //!
 //! Known limits of parallel bit-identity (counts detail is always exact):
 //! with `Detail::uarch` the Flow Classification cache statistics can
@@ -30,7 +46,7 @@
 //! overflow ordering is per-worker. The default workloads do neither.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use nettrace::Packet;
@@ -38,31 +54,60 @@ use npobs::timeline::{
     Counters, LogicalSeries, Sample, SpanLog, Stage, Timeline, TimelineSpec, WallSampler,
 };
 use npobs::StatusLine;
-use npsim::{NullObserver, Observer};
+use npsim::{MemoCounters, NullObserver, Observer, TraceStats};
 
 use crate::apps::{App, AppId};
 use crate::config::WorkloadConfig;
 use crate::error::BenchError;
 use crate::framework::{Detail, MemoMode, PacketBench, PacketRecord};
 
+/// One engine worker's telemetry for a run: the metrics exports'
+/// per-worker record, so a run's workers drop into a
+/// [`npobs::MetricsDoc`] as they are.
+pub use npobs::export::WorkerStat as WorkerMetrics;
+
 /// How often the in-run progress line is refreshed.
 const PROGRESS_INTERVAL: Duration = Duration::from_millis(1000);
 
+/// A duration in whole nanoseconds, saturating at `u64::MAX`.
+pub(crate) fn nanos(d: Duration) -> u64 {
+    d.as_nanos().min(u128::from(u64::MAX)) as u64
+}
+
+/// `count` events per second of `elapsed` (0 for an instant run).
+pub(crate) fn per_sec(count: u64, elapsed: Duration) -> f64 {
+    let secs = elapsed.as_secs_f64();
+    if secs == 0.0 {
+        0.0
+    } else {
+        count as f64 / secs
+    }
+}
+
+/// Resolves a requested worker count: 0 means available parallelism.
+pub(crate) fn resolve_threads(threads: usize) -> usize {
+    if threads == 0 {
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    } else {
+        threads
+    }
+}
+
 /// Shared counters the monitor thread reads to compose the progress and
 /// `--watch` lines. Workers bump them with `Relaxed` increments — they
-/// order nothing and are only touched when monitoring is on.
+/// order nothing and exist only when monitoring is on.
 #[derive(Default)]
 pub(crate) struct MonitorCounters {
     /// Packets fully processed so far.
-    pub(crate) processed: AtomicU64,
+    processed: AtomicU64,
     /// Memoization cache hits so far.
-    pub(crate) memo_hits: AtomicU64,
+    memo_hits: AtomicU64,
     /// Memoization cache lookups (hits + misses) so far.
-    pub(crate) memo_lookups: AtomicU64,
+    memo_lookups: AtomicU64,
     /// Complete trace trips so far.
-    pub(crate) trace_hits: AtomicU64,
+    trace_hits: AtomicU64,
     /// Mispredicted trace guards so far.
-    pub(crate) trace_exits: AtomicU64,
+    trace_exits: AtomicU64,
     /// Packets dropped at ring ingestion so far (live mode only).
     pub(crate) ring_dropped: AtomicU64,
 }
@@ -70,7 +115,7 @@ pub(crate) struct MonitorCounters {
 impl MonitorCounters {
     /// The ` memo NN%` suffix for a status line, or empty before the
     /// first cache lookup (memo off, or not warmed up yet).
-    pub(crate) fn memo_suffix(&self) -> String {
+    fn memo_suffix(&self) -> String {
         let lookups = self.memo_lookups.load(Ordering::Relaxed);
         if lookups == 0 {
             return String::new();
@@ -81,13 +126,22 @@ impl MonitorCounters {
 
     /// The ` trace NN/NN` (trips/guard-exits) suffix for a status line,
     /// or empty until the first complete trip.
-    pub(crate) fn trace_suffix(&self) -> String {
+    fn trace_suffix(&self) -> String {
         let hits = self.trace_hits.load(Ordering::Relaxed);
         if hits == 0 {
             return String::new();
         }
         let exits = self.trace_exits.load(Ordering::Relaxed);
         format!(" trace {hits}/{exits}")
+    }
+
+    /// The ` dropped N` suffix for a status line, or empty until a live
+    /// ring drops a packet (never, in batch and stream modes).
+    fn drop_suffix(&self) -> String {
+        match self.ring_dropped.load(Ordering::Relaxed) {
+            0 => String::new(),
+            dropped => format!(" dropped {dropped}"),
+        }
     }
 }
 
@@ -96,13 +150,13 @@ impl MonitorCounters {
 pub struct Engine {
     id: AppId,
     config: WorkloadConfig,
-    pub(crate) verify: bool,
-    pub(crate) progress: bool,
-    pub(crate) memo: MemoMode,
+    verify: bool,
+    progress: bool,
+    memo: MemoMode,
     pub(crate) timeline: Option<TimelineSpec>,
-    pub(crate) trace_params: Option<npsim::TraceParams>,
-    pub(crate) watch: bool,
-    pub(crate) status: Option<Arc<StatusLine>>,
+    trace_params: Option<npsim::TraceParams>,
+    watch: bool,
+    status: Option<Arc<StatusLine>>,
 }
 
 impl Engine {
@@ -133,8 +187,8 @@ impl Engine {
     }
 
     /// Enables a periodic `processed/total` progress line on stderr
-    /// during parallel runs. Off by default; when off, no progress
-    /// counter is touched on the packet path.
+    /// during runs. Off by default; when off, no progress counter is
+    /// touched on the packet path.
     pub fn progress(mut self, progress: bool) -> Engine {
         self.progress = progress;
         self
@@ -150,7 +204,7 @@ impl Engine {
     }
 
     /// Overrides the hot-trace formation parameters for every worker's
-    /// `PacketBench`. `None` (the default) keeps
+    /// `PacketBench`, in every mode. `None` (the default) keeps
     /// [`npsim::TraceParams::default`]; pass
     /// [`npsim::TraceParams::disabled`] to benchmark the plain superblock
     /// engine with trace fusion off. Either way results are bit-identical
@@ -170,8 +224,8 @@ impl Engine {
     }
 
     /// Enables the live `--watch` status refresh on stderr: a single
-    /// in-place line (packets, percent, pps) redrawn about once a second.
-    /// Implies the same shared counter `--progress` uses.
+    /// in-place line (packets, pps, memo and trace rates) redrawn about
+    /// once a second. Implies the same shared counter `--progress` uses.
     pub fn watch(mut self, watch: bool) -> Engine {
         self.watch = watch;
         self
@@ -184,10 +238,6 @@ impl Engine {
     pub fn status(mut self, status: Arc<StatusLine>) -> Engine {
         self.status = Some(status);
         self
-    }
-
-    pub(crate) fn status_line(&self) -> Arc<StatusLine> {
-        self.status.clone().unwrap_or_default()
     }
 
     /// The application this engine runs.
@@ -212,6 +262,99 @@ impl Engine {
             // is free.
         }
         position % threads
+    }
+
+    /// Builds one worker's `PacketBench` with the engine's memo mode and
+    /// trace parameters applied — the only place either is set.
+    fn build_bench(&self) -> Result<PacketBench, BenchError> {
+        let app = App::build(self.id, &self.config)?;
+        let mut bench = PacketBench::with_config(app, &self.config)?;
+        bench.set_memo(self.memo);
+        if let Some(params) = self.trace_params {
+            bench.set_trace_params(params);
+        }
+        Ok(bench)
+    }
+
+    /// Runs `body` on the caller's thread while a monitor thread redraws
+    /// the `--progress`/`--watch` status line about once a second.
+    /// `body` receives the shared counters, or `None` when neither is
+    /// on, so an unmonitored run spawns nothing and touches no atomic.
+    /// `line` renders the mode's progress text for `n` processed packets;
+    /// `--watch` appends packets/sec plus the memo and trace suffixes,
+    /// and a non-zero ring-drop count is appended either way.
+    pub(crate) fn monitored<R>(
+        &self,
+        start: Instant,
+        line: impl Fn(u64) -> String + Sync,
+        body: impl FnOnce(Option<&MonitorCounters>) -> R,
+    ) -> R {
+        if !(self.progress || self.watch) {
+            return body(None);
+        }
+        let counters = MonitorCounters::default();
+        let done = AtomicBool::new(false);
+        let status = self.status.clone().unwrap_or_default();
+        std::thread::scope(|scope| {
+            let monitor = scope.spawn(|| {
+                while !done.load(Ordering::Acquire) {
+                    std::thread::park_timeout(PROGRESS_INTERVAL);
+                    let n = counters.processed.load(Ordering::Relaxed);
+                    if done.load(Ordering::Acquire) || n == 0 {
+                        continue;
+                    }
+                    let drops = counters.drop_suffix();
+                    if self.watch {
+                        let pps = n as f64 / start.elapsed().as_secs_f64().max(1e-9);
+                        let memo = counters.memo_suffix();
+                        let trace = counters.trace_suffix();
+                        status.refresh(&format!("{} {pps:.0} pps{memo}{trace}{drops}", line(n)));
+                    } else {
+                        status.emit(&format!("{}{drops}", line(n)));
+                    }
+                }
+                if self.watch {
+                    status.finish_refresh();
+                }
+            });
+            let result = body(Some(&counters));
+            done.store(true, Ordering::Release);
+            monitor.thread().unpark();
+            result
+        })
+    }
+
+    /// Closes a run: charges each worker the wall-clock time it was not
+    /// busy, and assembles the timeline from every lane — the logical
+    /// series merge into one deterministic lane, or the wall-clock
+    /// samplers and span logs merge sorted by time.
+    pub(crate) fn close_run(
+        &self,
+        start: Instant,
+        threads: usize,
+        workers: &mut [WorkerMetrics],
+        lanes: Vec<LaneTelemetry>,
+    ) -> Option<Timeline> {
+        let wall_ns = nanos(start.elapsed());
+        for w in workers {
+            w.idle_ns = wall_ns.saturating_sub(w.busy_ns);
+        }
+        let spec = self.timeline?;
+        if spec.deterministic {
+            let series = lanes.into_iter().filter_map(|lane| match lane {
+                LaneTelemetry::Logical(series) => Some(series),
+                LaneTelemetry::Wall(..) => None,
+            });
+            return Some(Timeline::from_logical(series.collect()));
+        }
+        let (samplers, logs) = lanes
+            .into_iter()
+            .filter_map(|lane| match lane {
+                LaneTelemetry::Wall(sampler, log) => Some((sampler, log)),
+                LaneTelemetry::Logical(_) => None,
+            })
+            .unzip();
+        Some(Timeline::from_wall(spec.interval, threads, samplers, logs))
     }
 
     /// Runs `packets` on `threads` workers (0 = available parallelism)
@@ -253,165 +396,85 @@ impl Engine {
         O: Observer + Send,
         F: Fn() -> O + Sync,
     {
-        let threads = if threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            threads
-        };
-        let threads = threads.clamp(1, packets.len().max(1));
+        let threads = resolve_threads(threads).clamp(1, packets.len().max(1));
+        let total = packets.len();
         let start = Instant::now();
-        if threads == 1 {
-            return self.run_serial(packets, detail, start, make_obs());
-        }
-
-        let assignments: Vec<usize> = packets
-            .iter()
-            .enumerate()
-            .map(|(i, p)| self.shard_of(i, p, threads))
-            .collect();
-
-        type Batch = Vec<(usize, PacketRecord, Vec<Packet>)>;
-        type WorkerResult<O> =
-            Result<(Batch, O, WorkerMetrics, Option<LaneTelemetry>), (usize, BenchError)>;
-        let (tx, rx) = mpsc::channel::<WorkerResult<O>>();
-        let mut slots: Vec<Option<(PacketRecord, Vec<Packet>)>> = Vec::new();
-        slots.resize_with(packets.len(), || None);
-        let mut first_error: Option<(usize, BenchError)> = None;
-        let mut observers: Vec<Option<O>> = Vec::new();
-        observers.resize_with(threads, || None);
-        let mut workers: Vec<WorkerMetrics> = (0..threads)
-            .map(|w| WorkerMetrics {
-                worker: w,
-                ..WorkerMetrics::default()
-            })
-            .collect();
-        let mut lanes: Vec<LaneTelemetry> = Vec::new();
-        let counters = MonitorCounters::default();
-        let done = AtomicBool::new(false);
-        let monitoring = self.progress || self.watch;
-        let status = monitoring.then(|| self.status_line());
-
-        std::thread::scope(|scope| {
-            let monitor = status.as_ref().map(|status| {
-                let counters = &counters;
-                let done = &done;
-                let total = packets.len();
-                let watch = self.watch;
-                let status = Arc::clone(status);
-                scope.spawn(move || {
-                    while !done.load(Ordering::Acquire) {
-                        std::thread::park_timeout(PROGRESS_INTERVAL);
-                        let n = counters.processed.load(Ordering::Relaxed);
-                        if done.load(Ordering::Acquire) || n == 0 {
-                            continue;
-                        }
-                        let pct = n as f64 / total.max(1) as f64 * 100.0;
-                        if watch {
-                            let pps = n as f64 / start.elapsed().as_secs_f64().max(1e-9);
-                            let memo = counters.memo_suffix();
-                            let trace = counters.trace_suffix();
-                            status.refresh(&format!(
-                                "pb: {n}/{total} packets ({pct:.1}%) {pps:.0} pps{memo}{trace}"
-                            ));
-                        } else {
-                            status.emit(&format!("pb: {n}/{total} packets ({pct:.1}%)"));
-                        }
-                    }
-                    if watch {
-                        status.finish_refresh();
-                    }
-                })
-            });
-            let counter = monitoring.then_some(&counters);
-            for (worker, stat) in workers.iter_mut().enumerate() {
-                let tx = tx.clone();
-                let indices: Vec<usize> = assignments
+        // Each trace position's worker, and each worker's positions.
+        let mut owner: Vec<usize> = Vec::new();
+        let mut shards: Vec<Vec<usize>> = Vec::new();
+        let progress = |n: u64| {
+            let pct = n as f64 / total.max(1) as f64 * 100.0;
+            format!("pb: {n}/{total} packets ({pct:.1}%)")
+        };
+        let outcomes = self.monitored(start, progress, |monitor| {
+            let core = |w| WorkerCore::new(self, w, detail, make_obs(), monitor, start);
+            if threads == 1 {
+                return vec![core(0).run_batch(packets, 0..total)];
+            }
+            shards = vec![Vec::new(); threads];
+            owner.reserve_exact(total);
+            for (i, packet) in packets.iter().enumerate() {
+                let w = self.shard_of(i, packet, threads);
+                owner.push(w);
+                shards[w].push(i);
+            }
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = shards
                     .iter()
                     .enumerate()
-                    .filter(|&(_, &shard)| shard == worker)
-                    .map(|(i, _)| i)
+                    .map(|(w, shard)| {
+                        let core = core(w);
+                        scope.spawn(move || core.run_batch(packets, shard.iter().copied()))
+                    })
                     .collect();
-                stat.queue_depth = indices.len() as u64;
-                if indices.is_empty() {
-                    continue;
-                }
-                let obs = make_obs();
-                scope.spawn(move || {
-                    let _ = tx.send(
-                        self.worker_run(worker, &indices, packets, detail, obs, counter, start),
-                    );
-                });
-            }
-            drop(tx);
-            for result in rx {
-                match result {
-                    Ok((batch, obs, metrics, lane)) => {
-                        for (i, record, outs) in batch {
-                            slots[i] = Some((record, outs));
-                        }
-                        let queue_depth = workers[metrics.worker].queue_depth;
-                        workers[metrics.worker] = WorkerMetrics {
-                            queue_depth,
-                            ..metrics
-                        };
-                        observers[metrics.worker] = Some(obs);
-                        lanes.extend(lane);
-                    }
-                    Err((i, e)) => {
-                        if first_error.as_ref().is_none_or(|(fi, _)| i < *fi) {
-                            first_error = Some((i, e));
-                        }
-                    }
-                }
-            }
-            done.store(true, Ordering::Release);
-            if let Some(monitor) = monitor {
-                monitor.thread().unpark();
-            }
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("engine workers never panic"))
+                    .collect::<Vec<_>>()
+            })
         });
 
-        if let Some((_, e)) = first_error {
+        let mut failures = Vec::new();
+        let done: Vec<BatchShard<O>> = outcomes
+            .into_iter()
+            .filter_map(|outcome| outcome.map_err(|f| failures.push(f)).ok())
+            .collect();
+        if let Some((_, e)) = failures.into_iter().min_by_key(|&(i, _)| i) {
             return Err(e);
         }
-        let merge_start = Instant::now();
-        let mut records = Vec::with_capacity(packets.len());
-        let mut output_packets = Vec::new();
-        for slot in slots {
-            let (record, outs) = slot.expect("every packet produced a record");
-            records.push(record);
-            output_packets.extend(outs);
+        let mut parts = Vec::with_capacity(threads);
+        let mut outputs = Vec::new();
+        let mut workers = Vec::with_capacity(threads);
+        let mut observers = Vec::with_capacity(threads);
+        let mut lanes = Vec::new();
+        for shard in done {
+            parts.push(shard.records);
+            outputs.extend(shard.outputs);
+            workers.push(shard.metrics);
+            observers.push(shard.obs);
+            lanes.extend(shard.lane);
         }
-        let merge = merge_start.elapsed();
-        let timeline = self.timeline.map(|spec| {
-            if spec.deterministic {
-                return Timeline::from_logical(
-                    lanes.into_iter().map(LaneTelemetry::into_logical).collect(),
-                );
-            }
+        let merge_start = Instant::now();
+        let records = if threads == 1 {
+            parts.pop().unwrap_or_default()
+        } else {
+            let mut parts: Vec<_> = parts.into_iter().map(Vec::into_iter).collect();
+            let records = owner
+                .iter()
+                .map(|&w| parts[w].next().expect("every packet produced a record"))
+                .collect();
+            outputs.sort_unstable_by_key(|&(i, _)| i);
             // The trace-order reassembly is the engine's "merge" stage:
             // one span on the merger lane.
-            let mut merge_log = SpanLog::new(start, spec.capacity);
-            merge_log.record(
-                Stage::Merge,
-                0,
-                threads + 1,
-                merge_start,
-                records.len() as u64,
-            );
-            let mut samplers = Vec::new();
-            let mut logs = vec![merge_log];
-            for lane in lanes {
-                if let LaneTelemetry::Wall(sampler, log) = lane {
-                    samplers.push(sampler);
-                    logs.push(log);
-                }
+            if let Some(mut merger) = LaneTelemetry::wall(self.timeline, threads + 1, start) {
+                merger.span(Stage::Merge, 0, merge_start, total as u64);
+                lanes.push(merger);
             }
-            Timeline::from_wall(spec.interval, threads, samplers, logs)
-        });
-        let wall_ns = start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        for w in &mut workers {
-            w.idle_ns = wall_ns.saturating_sub(w.busy_ns);
-        }
+            records
+        };
+        let merge = merge_start.elapsed();
+        let output_packets = outputs.into_iter().flat_map(|(_, outs)| outs).collect();
+        let timeline = self.close_run(start, threads, &mut workers, lanes);
         Ok((
             EngineRun {
                 records,
@@ -422,224 +485,227 @@ impl Engine {
                 workers,
                 timeline,
             },
-            observers.into_iter().flatten().collect(),
+            observers,
         ))
     }
+}
 
-    fn run_serial<O: Observer>(
-        &self,
-        packets: &[Packet],
-        detail: Detail,
-        start: Instant,
-        mut obs: O,
-    ) -> Result<(EngineRun, Vec<O>), BenchError> {
-        let app = App::build(self.id, &self.config)?;
-        let mut bench = PacketBench::with_config(app, &self.config)?;
-        bench.set_memo(self.memo);
-        if let Some(params) = self.trace_params {
-            bench.set_trace_params(params);
-        }
-        let mut records = Vec::with_capacity(packets.len());
-        let mut lane = self.timeline.map(|spec| LaneTelemetry::new(spec, 0, start));
-        let mut probe = LaneProbe::default();
-        let status = self.watch.then(|| self.status_line());
-        let busy_start = Instant::now();
-        for (i, packet) in packets.iter().enumerate() {
-            let mut record = PacketRecord::empty();
-            bench.process_packet_observed_at(i as u64, packet, detail, &mut record, &mut obs)?;
-            if self.verify {
-                bench.verify_record(packet, &record)?;
-            }
-            if let Some(lane) = &mut lane {
-                probe.observe(
-                    lane,
-                    i as u64,
-                    &record,
-                    &bench,
-                    (packets.len() - i - 1) as u64,
-                    0,
-                    busy_start,
-                    0,
-                );
-            }
-            if let Some(status) = &status {
-                if i % 4096 == 4095 {
-                    let pps = (i + 1) as f64 / start.elapsed().as_secs_f64().max(1e-9);
-                    status.refresh(&format!(
-                        "pb: {}/{} packets {pps:.0} pps",
-                        i + 1,
-                        packets.len()
-                    ));
-                }
-            }
-            records.push(record);
-        }
-        if let Some(lane) = &mut lane {
-            lane.finish_exec(0, busy_start, packets.len() as u64);
-        }
-        if let Some(status) = &status {
-            status.finish_refresh();
-        }
-        let busy_ns = busy_start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        let wall_ns = start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        let memo = bench.memo_counters();
-        let tstats = bench.trace_stats();
-        let workers = vec![WorkerMetrics {
-            worker: 0,
-            packets: packets.len() as u64,
-            busy_ns,
-            idle_ns: wall_ns.saturating_sub(busy_ns),
-            queue_depth: packets.len() as u64,
-            memo_hits: memo.hits,
-            memo_misses: memo.misses,
-            memo_evictions: memo.evictions,
-            block_bailouts: bench.block_bailouts(),
-            traces_formed: tstats.formed,
-            trace_hits: tstats.hits,
-            trace_guard_exits: tstats.guard_exits,
-            trace_declines: tstats.declines,
-            ring_dropped: 0,
-        }];
-        let timeline = self.timeline.map(|spec| match lane {
-            Some(LaneTelemetry::Logical(series)) => Timeline::from_logical(vec![series]),
-            Some(LaneTelemetry::Wall(sampler, log)) => {
-                Timeline::from_wall(spec.interval, 1, vec![sampler], vec![log])
-            }
-            None => Timeline::from_logical(Vec::new()),
-        });
-        Ok((
-            EngineRun {
-                records,
-                output_packets: bench.take_output_packets(),
-                threads: 1,
-                elapsed: start.elapsed(),
-                merge: Duration::ZERO,
-                workers,
-                timeline,
-            },
-            vec![obs],
-        ))
-    }
+/// One batch worker's share of a run, in its shard's trace order.
+struct BatchShard<O> {
+    records: Vec<PacketRecord>,
+    /// Emitted output packets, tagged with the trace index that emitted
+    /// them (only packets that emitted any).
+    outputs: Vec<(usize, Vec<Packet>)>,
+    metrics: WorkerMetrics,
+    lane: Option<LaneTelemetry>,
+    obs: O,
+}
 
-    /// One worker: a private `PacketBench`, its assigned packets in trace
-    /// order, results tagged with their trace index. Busy time is one
-    /// clock pair around the whole loop — never per packet, so telemetry
-    /// stays off the per-packet critical path (the opt-in timeline
-    /// sampler adds one increment-and-compare per packet, and snapshots
-    /// only on its interval).
-    #[allow(clippy::type_complexity, clippy::too_many_arguments)]
-    fn worker_run<O: Observer>(
-        &self,
+/// One worker's run-to-completion core, shared by every transport: the
+/// lazily built [`PacketBench`], the lane's timeline probe, the progress
+/// watermarks, and the packet and busy counters. Transports feed it
+/// packets through [`WorkerCore::step`] and bracket their busy stretches
+/// (a whole shard, a chunk, a burst) with [`WorkerCore::begin`] and
+/// [`WorkerCore::end`], so busy time is never a clock read per packet.
+pub(crate) struct WorkerCore<'a, O = NullObserver> {
+    engine: &'a Engine,
+    worker: usize,
+    detail: Detail,
+    bench: Option<PacketBench>,
+    obs: O,
+    probe: Option<LaneProbe>,
+    monitor: Option<&'a MonitorCounters>,
+    last_memo: MemoCounters,
+    last_trace: TraceStats,
+    packets: u64,
+    busy_ns: u64,
+    busy_start: Instant,
+}
+
+impl<'a, O: Observer> WorkerCore<'a, O> {
+    /// A core for worker `worker`; `monitor` is the run's shared progress
+    /// counters, if monitoring is on.
+    pub(crate) fn new(
+        engine: &'a Engine,
         worker: usize,
-        indices: &[usize],
-        packets: &[Packet],
         detail: Detail,
-        mut obs: O,
-        progress: Option<&MonitorCounters>,
+        obs: O,
+        monitor: Option<&'a MonitorCounters>,
         run_start: Instant,
-    ) -> Result<
-        (
-            Vec<(usize, PacketRecord, Vec<Packet>)>,
-            O,
-            WorkerMetrics,
-            Option<LaneTelemetry>,
-        ),
-        (usize, BenchError),
-    > {
-        let first = indices.first().copied().unwrap_or(0);
-        let app = App::build(self.id, &self.config).map_err(|e| (first, e))?;
-        let mut bench = PacketBench::with_config(app, &self.config).map_err(|e| (first, e))?;
-        bench.set_memo(self.memo);
-        if let Some(params) = self.trace_params {
-            bench.set_trace_params(params);
-        }
-        let mut batch = Vec::with_capacity(indices.len());
-        let mut lane = self
-            .timeline
-            .map(|spec| LaneTelemetry::new(spec, worker, run_start));
-        let mut probe = LaneProbe::default();
-        let mut last_memo = bench.memo_counters();
-        let mut last_trace = bench.trace_stats();
-        let busy_start = Instant::now();
-        for (k, &i) in indices.iter().enumerate() {
-            let packet = &packets[i];
-            let mut record = PacketRecord::empty();
-            bench
-                .process_packet_observed_at(i as u64, packet, detail, &mut record, &mut obs)
-                .map_err(|e| (i, e))?;
-            if self.verify {
-                bench.verify_record(packet, &record).map_err(|e| (i, e))?;
-            }
-            let outs = bench.take_output_packets();
-            batch.push((i, record, outs));
-            if let Some(lane) = &mut lane {
-                probe.observe(
-                    lane,
-                    i as u64,
-                    &batch.last().expect("just pushed").1,
-                    &bench,
-                    (indices.len() - k - 1) as u64,
-                    0,
-                    busy_start,
-                    0,
-                );
-            }
-            if let Some(counters) = progress {
-                counters.processed.fetch_add(1, Ordering::Relaxed);
-                let memo = bench.memo_counters();
-                let hits = memo.hits - last_memo.hits;
-                let lookups = (memo.hits + memo.misses) - (last_memo.hits + last_memo.misses);
-                if lookups > 0 {
-                    counters.memo_hits.fetch_add(hits, Ordering::Relaxed);
-                    counters.memo_lookups.fetch_add(lookups, Ordering::Relaxed);
-                }
-                last_memo = memo;
-                let tstats = bench.trace_stats();
-                let trips = tstats.hits - last_trace.hits;
-                let exits = tstats.guard_exits - last_trace.guard_exits;
-                if trips > 0 {
-                    counters.trace_hits.fetch_add(trips, Ordering::Relaxed);
-                }
-                if exits > 0 {
-                    counters.trace_exits.fetch_add(exits, Ordering::Relaxed);
-                }
-                last_trace = tstats;
-            }
-        }
-        if let Some(lane) = &mut lane {
-            lane.finish_exec(worker as u64, busy_start, indices.len() as u64);
-        }
-        let memo = bench.memo_counters();
-        let tstats = bench.trace_stats();
-        let metrics = WorkerMetrics {
+    ) -> Self {
+        WorkerCore {
+            engine,
             worker,
-            packets: indices.len() as u64,
-            busy_ns: busy_start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
+            detail,
+            bench: None,
+            obs,
+            probe: engine
+                .timeline
+                .map(|spec| LaneProbe::new(LaneTelemetry::new(spec, worker, run_start))),
+            monitor,
+            last_memo: MemoCounters::default(),
+            last_trace: TraceStats::default(),
+            packets: 0,
+            busy_ns: 0,
+            busy_start: run_start,
+        }
+    }
+
+    /// Starts a busy stretch and returns its start, for the caller's span.
+    pub(crate) fn begin(&mut self) -> Instant {
+        self.busy_start = Instant::now();
+        self.busy_start
+    }
+
+    /// Ends the busy stretch [`WorkerCore::begin`] started.
+    pub(crate) fn end(&mut self) {
+        self.busy_ns += nanos(self.busy_start.elapsed());
+    }
+
+    /// Records an execution span on the lane's wall-clock log.
+    pub(crate) fn exec_span(&mut self, id: u64, began: Instant, packets: u64) {
+        if let Some(probe) = &mut self.probe {
+            probe.lane.span(Stage::Exec, id, began, packets);
+        }
+    }
+
+    /// The per-packet step every transport runs: process the packet at
+    /// its global trace `index` (building the bench on first use),
+    /// verify it if asked, fold it into the timeline probe, and advance
+    /// the progress counters. `backlog` reports the lane's queue depth
+    /// and cumulative ring drops; it is only called when a wall-clock
+    /// sample is due. Returns the bench for transport-side folds.
+    ///
+    /// # Errors
+    ///
+    /// The bench build's error, or the packet's processing or
+    /// verification error.
+    pub(crate) fn step(
+        &mut self,
+        index: u64,
+        packet: &Packet,
+        record: &mut PacketRecord,
+        backlog: impl FnOnce() -> (u64, u64),
+    ) -> Result<&PacketBench, BenchError> {
+        if self.bench.is_none() {
+            self.bench = Some(self.engine.build_bench()?);
+        }
+        let bench = self.bench.as_mut().expect("built above");
+        bench.process_packet_observed_at(index, packet, self.detail, record, &mut self.obs)?;
+        if self.engine.verify {
+            bench.verify_record(packet, record)?;
+        }
+        self.packets += 1;
+        if let Some(probe) = &mut self.probe {
+            let busy = (self.busy_ns, self.busy_start);
+            probe.observe(index, record, bench, busy, backlog);
+        }
+        if let Some(counters) = self.monitor {
+            counters.processed.fetch_add(1, Ordering::Relaxed);
+            let memo = bench.memo_counters();
+            let lookups = (memo.hits + memo.misses) - (self.last_memo.hits + self.last_memo.misses);
+            if lookups > 0 {
+                let hits = memo.hits - self.last_memo.hits;
+                counters.memo_hits.fetch_add(hits, Ordering::Relaxed);
+                counters.memo_lookups.fetch_add(lookups, Ordering::Relaxed);
+            }
+            let trace = bench.trace_stats();
+            let trips = trace.hits - self.last_trace.hits;
+            let exits = trace.guard_exits - self.last_trace.guard_exits;
+            if trips > 0 {
+                counters.trace_hits.fetch_add(trips, Ordering::Relaxed);
+            }
+            if exits > 0 {
+                counters.trace_exits.fetch_add(exits, Ordering::Relaxed);
+            }
+            self.last_memo = memo;
+            self.last_trace = trace;
+        }
+        Ok(bench)
+    }
+
+    /// Removes the packets the application emitted since the last call.
+    pub(crate) fn take_outputs(&mut self) -> Vec<Packet> {
+        self.bench
+            .as_mut()
+            .map(PacketBench::take_output_packets)
+            .unwrap_or_default()
+    }
+
+    /// Closes the worker into its metrics (`idle_ns` is settled by
+    /// [`Engine::close_run`]), its timeline lane, and its observer.
+    pub(crate) fn finish(
+        self,
+        queue_depth: u64,
+        ring_dropped: u64,
+    ) -> (WorkerMetrics, Option<LaneTelemetry>, O) {
+        let bench = self.bench.as_ref();
+        let memo = bench.map(PacketBench::memo_counters).unwrap_or_default();
+        let trace = bench.map(PacketBench::trace_stats).unwrap_or_default();
+        let metrics = WorkerMetrics {
+            worker: self.worker,
+            packets: self.packets,
+            busy_ns: self.busy_ns,
             idle_ns: 0,
-            queue_depth: indices.len() as u64,
+            queue_depth,
             memo_hits: memo.hits,
             memo_misses: memo.misses,
             memo_evictions: memo.evictions,
-            block_bailouts: bench.block_bailouts(),
-            traces_formed: tstats.formed,
-            trace_hits: tstats.hits,
-            trace_guard_exits: tstats.guard_exits,
-            trace_declines: tstats.declines,
-            ring_dropped: 0,
+            block_bailouts: bench.map_or(0, PacketBench::block_bailouts),
+            traces_formed: trace.formed,
+            trace_hits: trace.hits,
+            trace_guard_exits: trace.guard_exits,
+            trace_declines: trace.declines,
+            ring_dropped,
         };
-        Ok((batch, obs, metrics, lane))
+        (metrics, self.probe.map(|probe| probe.lane), self.obs)
+    }
+
+    /// The batch transport's worker loop: the shard's packets in trace
+    /// order as one busy stretch, each record kept, output packets tagged
+    /// with their trace index.
+    fn run_batch(
+        mut self,
+        packets: &[Packet],
+        mut shard: impl ExactSizeIterator<Item = usize>,
+    ) -> Result<BatchShard<O>, (usize, BenchError)> {
+        let queued = shard.len() as u64;
+        let mut records = Vec::with_capacity(shard.len());
+        let mut outputs = Vec::new();
+        let began = self.begin();
+        while let Some(i) = shard.next() {
+            let remaining = shard.len() as u64;
+            let mut record = PacketRecord::empty();
+            self.step(i as u64, &packets[i], &mut record, || (remaining, 0))
+                .map_err(|e| (i, e))?;
+            records.push(record);
+            let outs = self.take_outputs();
+            if !outs.is_empty() {
+                outputs.push((i, outs));
+            }
+        }
+        self.end();
+        self.exec_span(self.worker as u64, began, queued);
+        let (metrics, lane, obs) = self.finish(queued, 0);
+        Ok(BatchShard {
+            records,
+            outputs,
+            metrics,
+            lane,
+            obs,
+        })
     }
 }
 
 /// One lane's in-flight telemetry: a wall-clock sampler plus span log, or
-/// a deterministic logical series. Built per worker, merged after join.
+/// a deterministic logical series. Built per lane, merged after join.
 pub(crate) enum LaneTelemetry {
     Wall(WallSampler, SpanLog),
     Logical(LogicalSeries),
 }
 
 impl LaneTelemetry {
-    pub(crate) fn new(spec: TimelineSpec, lane: usize, t0: Instant) -> LaneTelemetry {
+    fn new(spec: TimelineSpec, lane: usize, t0: Instant) -> LaneTelemetry {
         if spec.deterministic {
             LaneTelemetry::Logical(LogicalSeries::new(spec))
         } else {
@@ -650,26 +716,31 @@ impl LaneTelemetry {
         }
     }
 
-    pub(crate) fn into_logical(self) -> LogicalSeries {
-        match self {
-            LaneTelemetry::Logical(series) => series,
-            LaneTelemetry::Wall(..) => unreachable!("wall lane in a deterministic timeline"),
-        }
+    /// A transport-side lane (reader, producer, merger): present on
+    /// wall-clock timelines only, since deterministic timelines sample
+    /// inside workers alone.
+    pub(crate) fn wall(
+        spec: Option<TimelineSpec>,
+        lane: usize,
+        t0: Instant,
+    ) -> Option<LaneTelemetry> {
+        spec.filter(|s| !s.deterministic)
+            .map(|s| LaneTelemetry::new(s, lane, t0))
     }
 
-    /// Closes the lane's execution span: the whole packet loop, recorded
-    /// on the wall clock only.
-    pub(crate) fn finish_exec(&mut self, id: u64, began: Instant, packets: u64) {
+    /// Records a stage span on the lane's wall-clock log; logical lanes
+    /// keep no spans.
+    pub(crate) fn span(&mut self, stage: Stage, id: u64, began: Instant, packets: u64) {
         if let LaneTelemetry::Wall(sampler, log) = self {
-            log.record(Stage::Exec, id, sampler.lane(), began, packets);
+            log.record(stage, id, sampler.lane(), began, packets);
         }
     }
 }
 
-/// Per-lane accumulation state for the timeline sampler: cumulative
-/// counters plus the bail-out watermark for logical deltas.
-#[derive(Default)]
-pub(crate) struct LaneProbe {
+/// A worker lane's timeline state: the lane plus cumulative counters and
+/// the bail-out watermark for logical deltas.
+struct LaneProbe {
+    lane: LaneTelemetry,
     instructions: u64,
     mem_packet: u64,
     mem_non_packet: u64,
@@ -677,26 +748,29 @@ pub(crate) struct LaneProbe {
 }
 
 impl LaneProbe {
-    /// Folds one processed packet into the lane's telemetry. `remaining`
-    /// is the lane's queue depth after this packet; busy time at a
-    /// sample is `busy_base_ns` (previous chunks) plus the time since
-    /// `busy_start` (the current loop or chunk), so both the batch
-    /// engine's one-clock-pair loop and the stream worker's per-chunk
-    /// accumulation report honest busy time. `ring_dropped` is the
-    /// lane's cumulative ingestion-drop count (always zero outside live
-    /// mode); it lands in wall-clock samples only — drops are a timing
+    fn new(lane: LaneTelemetry) -> LaneProbe {
+        LaneProbe {
+            lane,
+            instructions: 0,
+            mem_packet: 0,
+            mem_non_packet: 0,
+            last_bailouts: 0,
+        }
+    }
+
+    /// Folds one processed packet into the lane. Busy time at a sample
+    /// is `busy.0` (earlier busy stretches) plus the time since `busy.1`
+    /// (the current stretch's start). `backlog` gives the lane's queue
+    /// depth and cumulative ingestion drops (always zero outside live
+    /// mode); drops land in wall-clock samples only — they are a timing
     /// artifact, so deterministic logical timelines exclude them.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn observe(
+    fn observe(
         &mut self,
-        lane: &mut LaneTelemetry,
         index: u64,
         record: &PacketRecord,
         bench: &PacketBench,
-        remaining: u64,
-        busy_base_ns: u64,
-        busy_start: Instant,
-        ring_dropped: u64,
+        busy: (u64, Instant),
+        backlog: impl FnOnce() -> (u64, u64),
     ) {
         let bailouts = bench.block_bailouts();
         let bail_delta = bailouts - self.last_bailouts;
@@ -704,7 +778,7 @@ impl LaneProbe {
         self.instructions += record.stats.instret;
         self.mem_packet += record.stats.mem.packet_total();
         self.mem_non_packet += record.stats.mem.non_packet_total();
-        match lane {
+        match &mut self.lane {
             LaneTelemetry::Logical(series) => {
                 series.record(
                     index,
@@ -720,13 +794,13 @@ impl LaneProbe {
             LaneTelemetry::Wall(sampler, _) => {
                 if sampler.on_packet() {
                     let memo = bench.memo_counters();
+                    let (queue_depth, ring_dropped) = backlog();
                     sampler.push(Sample {
                         instructions: self.instructions,
                         mem_packet: self.mem_packet,
                         mem_non_packet: self.mem_non_packet,
-                        queue_depth: remaining,
-                        busy_ns: busy_base_ns
-                            + busy_start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
+                        queue_depth,
+                        busy_ns: busy.0 + nanos(busy.1.elapsed()),
                         memo_hits: memo.hits,
                         memo_misses: memo.misses,
                         memo_evictions: memo.evictions,
@@ -738,54 +812,6 @@ impl LaneProbe {
             }
         }
     }
-}
-
-/// One engine worker's telemetry for a run.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct WorkerMetrics {
-    /// Worker index (0-based).
-    pub worker: usize,
-    /// Packets this worker processed.
-    pub packets: u64,
-    /// Nanoseconds the worker spent in its packet loop (one clock pair
-    /// per run, not per packet).
-    pub busy_ns: u64,
-    /// Run wall-clock nanoseconds the worker was not in its packet loop
-    /// (waiting to start, finished early, or starved).
-    pub idle_ns: u64,
-    /// Packets assigned to this worker's shard.
-    pub queue_depth: u64,
-    /// Packets answered from this worker's flow-memoization cache
-    /// (simulation skipped entirely). Zero when memoization is off or
-    /// the application is not memoizable.
-    pub memo_hits: u64,
-    /// Packets that missed the memoization cache and ran the simulator
-    /// (each installs or refreshes an entry). Zero when memoization is
-    /// off.
-    pub memo_misses: u64,
-    /// Cache entries displaced by a colliding key (direct-mapped
-    /// replacement). Zero when memoization is off.
-    pub memo_evictions: u64,
-    /// Times the superblock engine bailed out to the per-instruction
-    /// loop on this worker (mid-block entries and instruction-budget
-    /// tails). Zero on the full-detail paths, which never enter the
-    /// block engine.
-    pub block_bailouts: u64,
-    /// Hot traces formed by this worker's one-shot formation pass. Zero
-    /// until warm-up completes, and on paths that never enter the trace
-    /// engine (full-detail and profiled runs stay block-granular).
-    pub traces_formed: u64,
-    /// Complete trips through formed traces (one fused delta each).
-    pub trace_hits: u64,
-    /// Trips that fell off mid-trace on a mispredicted guard.
-    pub trace_guard_exits: u64,
-    /// Trace dispatches declined for instruction-budget risk (the block
-    /// path ran instead).
-    pub trace_declines: u64,
-    /// Packets dropped at this worker's ingestion ring because its pool
-    /// was exhausted. Always zero in batch and stream modes, which
-    /// apply backpressure instead of dropping (`pb live` only).
-    pub ring_dropped: u64,
 }
 
 /// The merged, trace-ordered result of an [`Engine::run`].
@@ -800,7 +826,8 @@ pub struct EngineRun {
     pub threads: usize,
     /// Wall-clock time of the run, including per-worker app builds.
     pub elapsed: Duration,
-    /// Time spent reassembling worker results into trace order.
+    /// Time spent reassembling worker results into trace order (next to
+    /// nothing with one worker, whose records are already in order).
     pub merge: Duration,
     /// Per-worker telemetry, ordered by worker index.
     pub workers: Vec<WorkerMetrics>,
@@ -817,12 +844,7 @@ impl EngineRun {
 
     /// Simulated packets per wall-clock second.
     pub fn packets_per_sec(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.records.len() as f64 / secs
-        }
+        per_sec(self.records.len() as u64, self.elapsed)
     }
 }
 
@@ -1024,5 +1046,103 @@ mod tests {
             .run(&packets, Detail::counts(), 4)
             .unwrap();
         assert_eq!(run.records.len(), 60);
+    }
+
+    /// Every mode's aggregate and per-worker trace telemetry for 300
+    /// radix MRA packets on two workers, with `params` overriding the
+    /// trace-formation thresholds.
+    fn three_modes(
+        params: Option<npsim::TraceParams>,
+    ) -> Vec<(
+        &'static str,
+        crate::analysis::StreamAggregate,
+        Vec<WorkerMetrics>,
+    )> {
+        use crate::analysis::StreamAggregate;
+        use crate::live::{LiveConfig, OnFull};
+        use crate::stream::StreamConfig;
+        let engine = Engine::new(AppId::Ipv4Radix).trace_params(params);
+        let packets = trace(300, 41);
+        let batch = engine.run(&packets, Detail::counts(), 2).unwrap();
+        let mut batch_agg = StreamAggregate::new();
+        for record in &batch.records {
+            batch_agg.add_record(record);
+        }
+        let stream = engine
+            .run_streaming(
+                nettrace::Limited::new(SyntheticTrace::new(TraceProfile::mra(), 41), 300),
+                Detail::counts(),
+                StreamConfig {
+                    threads: 2,
+                    chunk_size: 16,
+                    max_inflight: 4,
+                },
+            )
+            .unwrap();
+        let spec = npstream::SourceSpec::parse("synth:mra:seed=41:packets=300").unwrap();
+        let live = engine
+            .run_live(
+                &spec,
+                Detail::counts(),
+                LiveConfig {
+                    threads: 2,
+                    ring: 64,
+                    on_full: OnFull::Wait,
+                    ..LiveConfig::default()
+                },
+            )
+            .unwrap();
+        vec![
+            ("batch", batch_agg, batch.workers),
+            ("stream", stream.aggregate, stream.workers),
+            ("live", live.aggregate, live.workers),
+        ]
+    }
+
+    #[test]
+    fn trace_params_apply_in_every_mode() {
+        let default = three_modes(None);
+        let disabled = three_modes(Some(npsim::TraceParams::disabled()));
+        for ((mode, want, on), (_, got, off)) in default.iter().zip(&disabled) {
+            let formed = |workers: &[WorkerMetrics]| -> u64 {
+                workers.iter().map(|w| w.traces_formed).sum()
+            };
+            assert!(formed(on) > 0, "{mode}: default params form traces");
+            assert_eq!(formed(off), 0, "{mode}: disabled params form none");
+            assert_eq!(got, want, "{mode}: dispatch strategy changed results");
+        }
+    }
+
+    #[test]
+    fn worker_step_feeds_every_monitor_counter() {
+        use crate::framework::MemoMode;
+        let engine = Engine::new(AppId::Ipv4Radix).memo(MemoMode::On);
+        let packets: Vec<Packet> =
+            SyntheticTrace::new(TraceProfile::with_zipf(256, 80), 7).take_packets(300);
+        let counters = MonitorCounters::default();
+        let mut core = WorkerCore::new(
+            &engine,
+            0,
+            Detail::counts(),
+            NullObserver,
+            Some(&counters),
+            Instant::now(),
+        );
+        for (i, packet) in packets.iter().enumerate() {
+            let mut record = PacketRecord::empty();
+            core.step(i as u64, packet, &mut record, || (0, 0)).unwrap();
+        }
+        let (metrics, _, _) = core.finish(300, 0);
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        assert_eq!(load(&counters.processed), 300);
+        assert_eq!(load(&counters.memo_hits), metrics.memo_hits);
+        assert_eq!(
+            load(&counters.memo_lookups),
+            metrics.memo_hits + metrics.memo_misses
+        );
+        assert!(metrics.memo_hits > 0, "the zipf trace repeats flows");
+        assert!(metrics.trace_hits > 0, "the misses ran formed traces");
+        assert_eq!(load(&counters.trace_hits), metrics.trace_hits);
+        assert_eq!(load(&counters.trace_exits), metrics.trace_guard_exits);
     }
 }

@@ -15,8 +15,8 @@ use npsim::cpu::HaltReason;
 use npsim::uarch::OpMix;
 use npsim::util::BitSet;
 use npsim::{
-    reg, Cpu, Interpreter, MemCounts, MemoCache, MemoCounters, Memory, MemoryMap, RunConfig,
-    RunStats, SimError, SysHandler, SysOutcome,
+    reg, Cpu, Interpreter, MemCounts, MemoCache, MemoCounters, Memory, MemoryMap, NullObserver,
+    RunConfig, RunStats, SimError, SysHandler, SysOutcome,
 };
 
 use crate::apps::App;
@@ -555,7 +555,7 @@ impl PacketBench {
         detail: Detail,
         record: &mut PacketRecord,
     ) -> Result<(), BenchError> {
-        self.process_packet_with_clock(packet, detail, None, record)
+        self.process_packet_with(packet, detail, None, record, &mut NullObserver)
     }
 
     /// Runs one packet as if it were the 0-based `index`-th packet of a
@@ -574,37 +574,7 @@ impl PacketBench {
         detail: Detail,
         record: &mut PacketRecord,
     ) -> Result<(), BenchError> {
-        self.process_packet_with_clock(packet, detail, Some((index + 1) as u32), record)
-    }
-
-    fn process_packet_with_clock(
-        &mut self,
-        packet: &Packet,
-        detail: Detail,
-        clock: Option<u32>,
-        record: &mut PacketRecord,
-    ) -> Result<(), BenchError> {
-        let l3 = l3_checked(packet)?;
-        if self.memo_pre(l3, detail, record) {
-            return Ok(());
-        }
-        let program = self.app.image().program();
-        let mut cpu = Cpu::new(program, self.map).with_blocks(&self.block_table);
-        self.packets_processed += 1;
-        let result = run_packet_on(
-            &mut cpu,
-            &mut self.mem,
-            self.map,
-            self.entry,
-            &mut self.out_packets,
-            clock.unwrap_or(self.packets_processed as u32),
-            packet,
-            &detail.run_config(),
-            record,
-        );
-        self.block_bailouts += cpu.block_bailouts();
-        result?;
-        self.memo_post(detail, record)
+        self.process_packet_observed_at(index, packet, detail, record, &mut NullObserver)
     }
 
     /// Runs one packet like [`PacketBench::process_packet_at`], streaming
@@ -613,8 +583,8 @@ impl PacketBench {
     /// The observer is a *type parameter*, not a trait object: this method
     /// monomorphizes down to the exact uninstrumented interpreter loops
     /// when `O` is [`npsim::NullObserver`], so observability never taxes
-    /// unobserved runs (see `DESIGN.md`). The engine's profiled mode runs
-    /// every packet through here with a worker-private observer.
+    /// unobserved runs (see `DESIGN.md`). The engine's workers run every
+    /// packet through here.
     ///
     /// # Errors
     ///
@@ -624,6 +594,22 @@ impl PacketBench {
         index: u64,
         packet: &Packet,
         detail: Detail,
+        record: &mut PacketRecord,
+        obs: &mut O,
+    ) -> Result<(), BenchError> {
+        self.process_packet_with(packet, detail, Some((index + 1) as u32), record, obs)
+    }
+
+    /// The optimized per-packet sequence behind every `process_packet*`
+    /// entry point except the conformance path: memo probe, stage and
+    /// boot, observed run, memo install. `clock` is the trace position
+    /// output packets are stamped with; `None` uses the packets processed
+    /// so far.
+    fn process_packet_with<O: npsim::Observer>(
+        &mut self,
+        packet: &Packet,
+        detail: Detail,
+        clock: Option<u32>,
         record: &mut PacketRecord,
         obs: &mut O,
     ) -> Result<(), BenchError> {
@@ -638,7 +624,7 @@ impl PacketBench {
         let mut handler = FrameworkSys {
             verdict: Verdict::Returned,
             out: &mut self.out_packets,
-            clock: (index + 1) as u32,
+            clock: clock.unwrap_or(self.packets_processed as u32),
         };
         let result = cpu.run_observed(
             &mut self.mem,
@@ -789,11 +775,11 @@ fn l3_checked(packet: &Packet) -> Result<&[u8], BenchError> {
     Ok(l3)
 }
 
-/// One packet through one interpreter: the framework sequence shared by
-/// the normal path and the conformance path. Stages the packet, boots the
-/// interpreter at `entry` with the packet pointer and length in
-/// `a0`/`a1`, runs it under the framework `sys` handler, and captures the
-/// verdict and return value.
+/// One packet through one interpreter: the conformance reference path.
+/// Stages the packet, boots the interpreter at `entry` with the packet
+/// pointer and length in `a0`/`a1`, runs it under the framework `sys`
+/// handler, and captures the verdict and return value — the same steps
+/// [`PacketBench::process_packet_with`] takes on the optimized CPU.
 #[allow(clippy::too_many_arguments)]
 fn run_packet_on(
     interp: &mut dyn Interpreter,

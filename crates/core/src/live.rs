@@ -12,9 +12,10 @@
 //!   trace — and offers each packet to its worker's lock-free SPSC lane
 //!   ([`npring::lane`]): a zero-copy mbuf pool fronted by an in-ring and
 //!   a free-ring;
-//! * **workers** (one per lane, each owning a private [`PacketBench`])
-//!   run to completion: burst-dequeue up to [`MAX_BURST`] packet views,
-//!   simulate each in place, and retire the burst's slots back to the
+//! * **workers** (one per lane) run to completion around the engine's
+//!   shared worker core (see [`crate::engine`]): burst-dequeue up to
+//!   [`MAX_BURST`] packet views, run each in place through the core's
+//!   per-packet step, and retire the burst's slots back to the
 //!   free-ring;
 //! * when a lane's pool is exhausted the producer either counts the
 //!   packet **dropped** and moves on ([`OnFull::Drop`], the
@@ -39,9 +40,10 @@
 //! When `dropped == 0` (always under [`OnFull::Wait`]), the aggregate
 //! report equals the batch engine's for the same source, at any thread
 //! count: packets are sharded by the same rule ([`Engine::shard_of`] on
-//! the global trace position), processed with the same global-index
-//! clock ([`PacketBench::process_packet_at`]), delivered in order within
-//! each lane (SPSC FIFO), and folded with exact integer sums
+//! the global trace position), processed by the same worker core with
+//! the same global-index clock
+//! ([`crate::framework::PacketBench::process_packet_at`]), delivered in
+//! order within each lane (SPSC FIFO), and folded with exact integer sums
 //! ([`StreamAggregate`]). Drops break the equivalence by construction —
 //! a dropped packet is never simulated — which is the point.
 //!
@@ -51,25 +53,20 @@
 //! and exclude `ring_dropped` entirely.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use nettrace::{Limited, PacketSource};
 use npobs::timeline::{Sample, Stage, Timeline};
 use npobs::{Log2Histogram, PacketHists};
 use npring::{lane, LaneConsumer, Pacer, RateSpec, RingStats, MAX_BURST};
-use npsim::bblock::BlockMap;
-use npsim::MemoCounters;
+use npsim::NullObserver;
 use npstream::SourceSpec;
 
 use crate::analysis::StreamAggregate;
-use crate::apps::App;
-use crate::engine::{Engine, LaneProbe, LaneTelemetry, MonitorCounters, WorkerMetrics};
+use crate::engine::{per_sec, resolve_threads, Engine, LaneTelemetry, WorkerCore, WorkerMetrics};
 use crate::error::BenchError;
-use crate::framework::{Detail, PacketBench, PacketRecord};
-
-/// How often the in-run progress line is refreshed.
-const PROGRESS_INTERVAL: Duration = Duration::from_millis(1000);
+use crate::framework::{Detail, PacketRecord};
 
 /// What the producer does when a lane's packet pool is exhausted.
 ///
@@ -149,11 +146,7 @@ impl LiveConfig {
 
     /// Resolves the zero placeholders.
     fn resolve(self) -> (usize, usize, usize, u64) {
-        let threads = if self.threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            self.threads
-        };
+        let threads = resolve_threads(self.threads);
         let ring = if self.ring == 0 {
             LiveConfig::DEFAULT_RING
         } else {
@@ -218,12 +211,7 @@ impl LiveRun {
 
     /// Retired packets per wall-clock second.
     pub fn packets_per_sec(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.packets() as f64 / secs
-        }
+        per_sec(self.packets(), self.elapsed)
     }
 
     /// Fraction of offered packets dropped at ingestion.
@@ -237,6 +225,7 @@ impl LiveRun {
 }
 
 /// One worker's fold of everything it retired.
+#[derive(Default)]
 struct LaneFold {
     aggregate: StreamAggregate,
     hists: PacketHists,
@@ -280,176 +269,130 @@ impl Engine {
         let cancelled = AtomicBool::new(false);
         let failure: Mutex<Option<(u64, BenchError)>> = Mutex::new(None);
         let source_error: Mutex<Option<BenchError>> = Mutex::new(None);
-        let counters = MonitorCounters::default();
-        let done = AtomicBool::new(false);
-        let monitoring = self.progress || self.watch;
-        let status = monitoring.then(|| self.status_line());
-        // The producer lane samples on the wall clock only; deterministic
-        // timelines are built from worker-side logical deltas alone.
-        let wall_spec = self.timeline.filter(|s| !s.deterministic);
 
         let mut workers: Vec<WorkerMetrics> = Vec::with_capacity(threads);
         let mut folds: Vec<LaneFold> = Vec::with_capacity(threads);
         let mut lanes: Vec<LaneTelemetry> = Vec::new();
 
-        std::thread::scope(|scope| {
-            let monitor = status.as_ref().map(|status| {
-                let counters = &counters;
-                let done = &done;
-                let watch = self.watch;
-                let status = Arc::clone(status);
-                scope.spawn(move || {
-                    while !done.load(Ordering::Acquire) {
-                        std::thread::park_timeout(PROGRESS_INTERVAL);
-                        let n = counters.processed.load(Ordering::Relaxed);
-                        if done.load(Ordering::Acquire) || n == 0 {
-                            continue;
-                        }
-                        let dropped = counters.ring_dropped.load(Ordering::Relaxed);
-                        let drops = if dropped > 0 {
-                            format!(" dropped {dropped}")
-                        } else {
-                            String::new()
-                        };
-                        if watch {
-                            let pps = n as f64 / start.elapsed().as_secs_f64().max(1e-9);
-                            let memo = counters.memo_suffix();
-                            status.refresh(&format!(
-                                "pb live: {n} packets {pps:.0} pps{memo}{drops}"
-                            ));
-                        } else {
-                            status.emit(&format!("pb live: {n} packets{drops}"));
-                        }
-                    }
-                    if watch {
-                        status.finish_refresh();
-                    }
-                })
-            });
-            let counter = monitoring.then_some(&counters);
-
-            let producer = {
-                let cancelled = &cancelled;
-                let source_error = &source_error;
-                let mut producers = producers;
-                scope.spawn(move || {
-                    let mut pacer = Pacer::new(config.rate);
-                    let mut lane = wall_spec.map(|s| LaneTelemetry::new(s, threads, start));
-                    let mut global = 0u64;
-                    'produce: for loop_id in 0..loops {
-                        let opened = match spec.open() {
-                            Ok(source) => source,
-                            Err(e) => {
-                                *source_error.lock().unwrap() = Some(BenchError::from(e));
-                                break 'produce;
-                            }
-                        };
-                        let mut source: Box<dyn PacketSource + Send> = match config.cap {
-                            Some(n) => Box::new(Limited::new(opened, n)),
-                            None => opened,
-                        };
-                        let loop_began = Instant::now();
-                        let mut loop_packets = 0u64;
-                        loop {
-                            if cancelled.load(Ordering::Acquire) {
-                                break 'produce;
-                            }
-                            match source.next_packet() {
-                                Ok(Some(packet)) => {
-                                    pacer.pace();
-                                    let shard = self.shard_of(global as usize, &packet, threads);
-                                    let accepted = match config.on_full {
-                                        OnFull::Drop => producers[shard].offer(global, &packet),
-                                        OnFull::Wait => {
-                                            producers[shard].offer_wait(global, &packet, || {
-                                                cancelled.load(Ordering::Acquire)
-                                            })
-                                        }
-                                    };
-                                    if !accepted {
-                                        if let Some(counters) = counter {
-                                            counters.ring_dropped.fetch_add(1, Ordering::Relaxed);
-                                        }
-                                    }
-                                    global += 1;
-                                    loop_packets += 1;
-                                    if let Some(LaneTelemetry::Wall(sampler, _)) = &mut lane {
-                                        if sampler.on_packet() {
-                                            let queued: usize =
-                                                producers.iter().map(|p| p.queued()).sum();
-                                            let dropped: u64 =
-                                                producers.iter().map(|p| p.stats().dropped()).sum();
-                                            sampler.push(Sample {
-                                                queue_depth: queued as u64,
-                                                ring_dropped: dropped,
-                                                ..Sample::default()
-                                            });
-                                        }
-                                    }
-                                }
-                                Ok(None) => {
-                                    if let Some(LaneTelemetry::Wall(_, log)) = &mut lane {
-                                        log.record(
-                                            Stage::Read,
-                                            loop_id,
-                                            threads,
-                                            loop_began,
-                                            loop_packets,
-                                        );
-                                    }
-                                    break;
-                                }
+        let progress = |n: u64| format!("pb live: {n} packets");
+        self.monitored(start, progress, |monitor| {
+            std::thread::scope(|scope| {
+                let producer = {
+                    let cancelled = &cancelled;
+                    let source_error = &source_error;
+                    let mut producers = producers;
+                    scope.spawn(move || {
+                        let mut pacer = Pacer::new(config.rate);
+                        // The producer lane samples on the wall clock
+                        // only; deterministic timelines are built from
+                        // worker-side logical deltas alone.
+                        let mut lane = LaneTelemetry::wall(self.timeline, threads, start);
+                        let mut global = 0u64;
+                        'produce: for loop_id in 0..loops {
+                            let opened = match spec.open() {
+                                Ok(source) => source,
                                 Err(e) => {
                                     *source_error.lock().unwrap() = Some(BenchError::from(e));
                                     break 'produce;
                                 }
+                            };
+                            let mut source: Box<dyn PacketSource + Send> = match config.cap {
+                                Some(n) => Box::new(Limited::new(opened, n)),
+                                None => opened,
+                            };
+                            let loop_began = Instant::now();
+                            let mut loop_packets = 0u64;
+                            loop {
+                                if cancelled.load(Ordering::Acquire) {
+                                    break 'produce;
+                                }
+                                match source.next_packet() {
+                                    Ok(Some(packet)) => {
+                                        pacer.pace();
+                                        let shard =
+                                            self.shard_of(global as usize, &packet, threads);
+                                        let accepted = match config.on_full {
+                                            OnFull::Drop => producers[shard].offer(global, &packet),
+                                            OnFull::Wait => {
+                                                producers[shard].offer_wait(global, &packet, || {
+                                                    cancelled.load(Ordering::Acquire)
+                                                })
+                                            }
+                                        };
+                                        if !accepted {
+                                            if let Some(counters) = monitor {
+                                                counters
+                                                    .ring_dropped
+                                                    .fetch_add(1, Ordering::Relaxed);
+                                            }
+                                        }
+                                        global += 1;
+                                        loop_packets += 1;
+                                        if let Some(LaneTelemetry::Wall(sampler, _)) = &mut lane {
+                                            if sampler.on_packet() {
+                                                let queued: usize =
+                                                    producers.iter().map(|p| p.queued()).sum();
+                                                let dropped: u64 = producers
+                                                    .iter()
+                                                    .map(|p| p.stats().dropped())
+                                                    .sum();
+                                                sampler.push(Sample {
+                                                    queue_depth: queued as u64,
+                                                    ring_dropped: dropped,
+                                                    ..Sample::default()
+                                                });
+                                            }
+                                        }
+                                    }
+                                    Ok(None) => {
+                                        if let Some(lane) = &mut lane {
+                                            lane.span(
+                                                Stage::Read,
+                                                loop_id,
+                                                loop_began,
+                                                loop_packets,
+                                            );
+                                        }
+                                        break;
+                                    }
+                                    Err(e) => {
+                                        *source_error.lock().unwrap() = Some(BenchError::from(e));
+                                        break 'produce;
+                                    }
+                                }
                             }
                         }
-                    }
-                    // Close *after* the final pushes: a consumer that
-                    // observes the closed flag and then drains an empty
-                    // ring has seen everything (Release/Acquire pairing
-                    // in `npring::pool`).
-                    for p in &mut producers {
-                        p.close();
-                    }
-                    lane
-                })
-            };
-
-            let handles: Vec<_> = consumers
-                .into_iter()
-                .enumerate()
-                .map(|(w, consumer)| {
-                    let cancelled = &cancelled;
-                    let failure = &failure;
-                    scope.spawn(move || {
-                        self.live_worker(
-                            w,
-                            consumer,
-                            burst,
-                            detail,
-                            config.metrics,
-                            cancelled,
-                            failure,
-                            counter,
-                            start,
-                        )
+                        // Close *after* the final pushes: a consumer that
+                        // observes the closed flag and then drains an
+                        // empty ring has seen everything (Release/Acquire
+                        // pairing in `npring::pool`).
+                        for p in &mut producers {
+                            p.close();
+                        }
+                        lane
                     })
-                })
-                .collect();
+                };
 
-            lanes.extend(producer.join().expect("producer thread never panics"));
-            for handle in handles {
-                let (metrics, lane, fold) = handle.join().expect("live workers never panic");
-                workers.push(metrics);
-                lanes.extend(lane);
-                folds.push(fold);
-            }
-            done.store(true, Ordering::Release);
-            if let Some(monitor) = monitor {
-                monitor.thread().unpark();
-            }
+                let handles: Vec<_> = consumers
+                    .into_iter()
+                    .enumerate()
+                    .map(|(w, consumer)| {
+                        let core = WorkerCore::new(self, w, detail, NullObserver, monitor, start);
+                        let (cancelled, failure) = (&cancelled, &failure);
+                        scope.spawn(move || {
+                            live_worker(core, consumer, burst, config.metrics, cancelled, failure)
+                        })
+                    })
+                    .collect();
+
+                lanes.extend(producer.join().expect("producer thread never panics"));
+                for handle in handles {
+                    let (metrics, lane, fold) = handle.join().expect("live workers never panic");
+                    workers.push(metrics);
+                    lanes.extend(lane);
+                    folds.push(fold);
+                }
+            })
         });
 
         if let Some((_, e)) = failure.into_inner().unwrap() {
@@ -468,39 +411,18 @@ impl Engine {
             "live ingestion identity: every offered packet is dropped or retired"
         );
 
-        let mut aggregate = StreamAggregate::new();
-        let mut hists = PacketHists::new();
-        let mut occupancy = Log2Histogram::new();
-        let mut bursts = Log2Histogram::new();
+        let mut merged = LaneFold::default();
         for fold in &folds {
-            aggregate.merge(&fold.aggregate);
-            hists.merge(&fold.hists);
-            occupancy.merge(&fold.occupancy);
-            bursts.merge(&fold.bursts);
+            merged.aggregate.merge(&fold.aggregate);
+            merged.hists.merge(&fold.hists);
+            merged.occupancy.merge(&fold.occupancy);
+            merged.bursts.merge(&fold.bursts);
         }
 
-        let timeline = self.timeline.map(|spec| {
-            if spec.deterministic {
-                Timeline::from_logical(lanes.into_iter().map(LaneTelemetry::into_logical).collect())
-            } else {
-                let mut samplers = Vec::new();
-                let mut logs = Vec::new();
-                for lane in lanes {
-                    if let LaneTelemetry::Wall(sampler, log) = lane {
-                        samplers.push(sampler);
-                        logs.push(log);
-                    }
-                }
-                Timeline::from_wall(spec.interval, threads, samplers, logs)
-            }
-        });
-        let wall_ns = start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        for w in &mut workers {
-            w.idle_ns = wall_ns.saturating_sub(w.busy_ns);
-        }
+        let timeline = self.close_run(start, threads, &mut workers, lanes);
         Ok(LiveRun {
-            aggregate,
-            hists,
+            aggregate: merged.aggregate,
+            hists: merged.hists,
             workers,
             threads,
             ring,
@@ -509,201 +431,111 @@ impl Engine {
             produced,
             dropped,
             retired,
-            occupancy,
-            bursts,
+            occupancy: merged.occupancy,
+            bursts: merged.bursts,
             elapsed: start.elapsed(),
             timeline,
         })
     }
+}
 
-    /// One live worker: burst-dequeue, simulate every view in place with
-    /// the global-index clock, retire the burst. The `PacketBench` is
-    /// built on the first burst so idle lanes cost nothing. On failure
-    /// (its own or another worker's, via `cancelled`) the worker keeps
-    /// draining and retiring *without* simulating, so the producer never
-    /// wedges on a full pool and the retire accounting stays exact.
-    #[allow(clippy::too_many_arguments)]
-    fn live_worker(
-        &self,
-        worker: usize,
-        mut consumer: LaneConsumer,
-        burst: usize,
-        detail: Detail,
-        collect_hists: bool,
-        cancelled: &AtomicBool,
-        failure: &Mutex<Option<(u64, BenchError)>>,
-        progress: Option<&MonitorCounters>,
-        run_start: Instant,
-    ) -> (WorkerMetrics, Option<LaneTelemetry>, LaneFold) {
-        let mut bench: Option<(PacketBench, Option<BlockMap>)> = None;
-        let mut fold = LaneFold {
-            aggregate: StreamAggregate::new(),
-            hists: PacketHists::new(),
-            occupancy: Log2Histogram::new(),
-            bursts: Log2Histogram::new(),
-        };
-        let mut packets = 0u64;
-        let mut busy_ns = 0u64;
-        let mut failed = false;
-        let mut lane = self
-            .timeline
-            .map(|spec| LaneTelemetry::new(spec, worker, run_start));
-        let mut probe = LaneProbe::default();
-        let mut last_memo = MemoCounters::default();
-        let worker_start = Instant::now();
-        let record_failure = |index: u64, error: BenchError| {
-            let mut slot = failure.lock().unwrap();
-            if slot.as_ref().is_none_or(|(i, _)| index < *i) {
-                *slot = Some((index, error));
+/// One live worker: burst-dequeue, run every view in place through the
+/// shared worker core, retire the burst. Each burst is one busy stretch.
+/// On failure (its own or another worker's, via `cancelled`) the worker
+/// keeps draining and retiring *without* simulating, so the producer
+/// never wedges on a full pool and the retire accounting stays exact.
+fn live_worker(
+    mut core: WorkerCore<'_>,
+    mut consumer: LaneConsumer,
+    burst: usize,
+    collect_hists: bool,
+    cancelled: &AtomicBool,
+    failure: &Mutex<Option<(u64, BenchError)>>,
+) -> (WorkerMetrics, Option<LaneTelemetry>, LaneFold) {
+    let mut fold = LaneFold::default();
+    let mut failed = false;
+    let worker_start = Instant::now();
+    let record_failure = |index: u64, error: BenchError| {
+        let mut slot = failure.lock().unwrap();
+        if slot.as_ref().is_none_or(|(i, _)| index < *i) {
+            *slot = Some((index, error));
+        }
+        cancelled.store(true, Ordering::Release);
+    };
+    let mut spins = 0u32;
+    let mut draining = false;
+    loop {
+        let occupancy = consumer.occupancy() as u64;
+        let n = consumer.dequeue_burst(burst);
+        if n == 0 {
+            if draining {
+                // The closed flag was already visible before this
+                // dequeue, so the empty ring is the final state.
+                break;
             }
-            cancelled.store(true, Ordering::Release);
-        };
-        let mut spins = 0u32;
-        let mut draining = false;
-        loop {
-            let occupancy = consumer.occupancy() as u64;
-            let n = consumer.dequeue_burst(burst);
-            if n == 0 {
-                if draining {
-                    // The closed flag was already visible before this
-                    // dequeue, so the empty ring is the final state.
-                    break;
-                }
-                if consumer.is_closed() {
-                    draining = true;
+            if consumer.is_closed() {
+                draining = true;
+            } else {
+                spins += 1;
+                if spins.is_multiple_of(256) {
+                    std::thread::yield_now();
                 } else {
-                    spins += 1;
-                    if spins.is_multiple_of(256) {
-                        std::thread::yield_now();
-                    } else {
-                        std::hint::spin_loop();
-                    }
+                    std::hint::spin_loop();
                 }
-                continue;
             }
-            draining = false;
-            spins = 0;
-            fold.bursts.record(n as u64);
-            fold.occupancy.record(occupancy);
-            let busy_start = Instant::now();
-            'process: {
-                if failed || cancelled.load(Ordering::Acquire) {
-                    break 'process;
-                }
-                let (bench, block_map) = match &mut bench {
-                    Some(pair) => pair,
-                    None => {
-                        let built = App::build(self.id(), self.config()).and_then(|app| {
-                            let map = collect_hists.then(|| BlockMap::build(app.image().program()));
-                            PacketBench::with_config(app, self.config()).map(|b| (b, map))
-                        });
-                        match built {
-                            Ok((mut b, map)) => {
-                                b.set_memo(self.memo);
-                                last_memo = b.memo_counters();
-                                bench.insert((b, map))
-                            }
-                            Err(error) => {
-                                record_failure(consumer.packet(0).index(), error);
-                                failed = true;
-                                break 'process;
-                            }
-                        }
-                    }
-                };
-                for i in 0..n {
-                    let view = consumer.packet(i);
-                    let index = view.index();
-                    let mut record = PacketRecord::empty();
-                    let run = bench
-                        .process_packet_at(index, &view, detail, &mut record)
-                        .and_then(|()| {
-                            if self.verify {
-                                bench.verify_record(&view, &record)
-                            } else {
-                                Ok(())
-                            }
-                        });
-                    if let Err(error) = run {
+            continue;
+        }
+        draining = false;
+        spins = 0;
+        fold.bursts.record(n as u64);
+        fold.occupancy.record(occupancy);
+        core.begin();
+        if !failed && !cancelled.load(Ordering::Acquire) {
+            for i in 0..n {
+                let view = consumer.packet(i);
+                let index = view.index();
+                let mut record = PacketRecord::empty();
+                let backlog = || (consumer.occupancy() as u64, consumer.stats().dropped());
+                let bench = match core.step(index, &view, &mut record, backlog) {
+                    Ok(bench) => bench,
+                    Err(error) => {
                         record_failure(index, error);
                         failed = true;
-                        break 'process;
+                        break;
                     }
-                    fold.aggregate.add_record(&record);
-                    if let Some(map) = block_map {
-                        fold.hists.record(
-                            record.stats.instret,
-                            record.stats.mem.packet_total(),
-                            record.stats.mem.non_packet_total(),
-                            map.blocks_executed(&record.stats.executed).count() as u64,
-                        );
-                    }
-                    packets += 1;
-                    if let Some(lane) = &mut lane {
-                        probe.observe(
-                            lane,
-                            index,
-                            &record,
-                            bench,
-                            consumer.occupancy() as u64,
-                            busy_ns,
-                            busy_start,
-                            consumer.stats().dropped(),
-                        );
-                    }
-                    if let Some(counters) = progress {
-                        counters.processed.fetch_add(1, Ordering::Relaxed);
-                        let memo = bench.memo_counters();
-                        let hits = memo.hits - last_memo.hits;
-                        let lookups =
-                            (memo.hits + memo.misses) - (last_memo.hits + last_memo.misses);
-                        if lookups > 0 {
-                            counters.memo_hits.fetch_add(hits, Ordering::Relaxed);
-                            counters.memo_lookups.fetch_add(lookups, Ordering::Relaxed);
-                        }
-                        last_memo = memo;
-                    }
+                };
+                fold.aggregate.add_record(&record);
+                if collect_hists {
+                    let blocks = bench.block_map().blocks_executed(&record.stats.executed);
+                    fold.hists.record(
+                        record.stats.instret,
+                        record.stats.mem.packet_total(),
+                        record.stats.mem.non_packet_total(),
+                        blocks.count() as u64,
+                    );
                 }
-                // Emitted packets are not part of the aggregate; drop
-                // them per burst so they cannot accumulate.
-                bench.take_output_packets();
             }
-            busy_ns += busy_start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-            // Retire even when simulation was skipped: slot accounting is
-            // unconditional, so `produced == dropped + retired` survives
-            // cancellation.
-            consumer.retire_burst();
+            // Emitted packets are not part of the aggregate; drop them
+            // per burst so they cannot accumulate.
+            core.take_outputs();
         }
-        if let Some(lane) = &mut lane {
-            lane.finish_exec(worker as u64, worker_start, packets);
-        }
-        let stats = consumer.stats();
-        let memo = bench
-            .as_ref()
-            .map(|(b, _)| b.memo_counters())
-            .unwrap_or_default();
-        let tstats = bench
-            .as_ref()
-            .map(|(b, _)| b.trace_stats())
-            .unwrap_or_default();
-        let metrics = WorkerMetrics {
-            worker,
-            packets,
-            busy_ns,
-            idle_ns: 0,
-            queue_depth: stats.produced(),
-            memo_hits: memo.hits,
-            memo_misses: memo.misses,
-            memo_evictions: memo.evictions,
-            block_bailouts: bench.as_ref().map(|(b, _)| b.block_bailouts()).unwrap_or(0),
-            traces_formed: tstats.formed,
-            trace_hits: tstats.hits,
-            trace_guard_exits: tstats.guard_exits,
-            trace_declines: tstats.declines,
-            ring_dropped: stats.dropped(),
-        };
-        (metrics, lane, fold)
+        core.end();
+        // Retire even when simulation was skipped: slot accounting is
+        // unconditional, so `produced == dropped + retired` survives
+        // cancellation.
+        consumer.retire_burst();
     }
+    let stats = consumer.stats();
+    let (metrics, mut lane, NullObserver) = core.finish(stats.produced(), stats.dropped());
+    if let Some(lane) = &mut lane {
+        lane.span(
+            Stage::Exec,
+            metrics.worker as u64,
+            worker_start,
+            metrics.packets,
+        );
+    }
+    (metrics, lane, fold)
 }
 
 #[cfg(test)]

@@ -24,7 +24,7 @@ use npsim::bblock::BlockMap;
 
 use crate::apps::{App, AppId};
 use crate::config::WorkloadConfig;
-use crate::engine::{Engine, EngineRun};
+use crate::engine::{nanos, Engine, EngineRun, WorkerMetrics};
 use crate::error::BenchError;
 use crate::framework::{Detail, MemoMode};
 use crate::report;
@@ -205,41 +205,26 @@ impl ProfileResult {
             elapsed_ns: if deterministic {
                 0
             } else {
-                self.run.elapsed.as_nanos().min(u128::from(u64::MAX)) as u64
+                nanos(self.run.elapsed)
             },
             merge_ns: if deterministic {
                 0
             } else {
-                self.run.merge.as_nanos().min(u128::from(u64::MAX)) as u64
+                nanos(self.run.merge)
             },
             hists: self.hists.clone(),
+            // Packet, queue-depth, memo, bail-out and trace-cache counts
+            // are a pure function of the trace and sharding (memo hits
+            // skip simulation and add no bail-outs), so they stay real
+            // in deterministic mode; only the wall-clock fields zero.
             workers: self
                 .run
                 .workers
                 .iter()
-                .map(|w| npobs::export::WorkerStat {
-                    worker: w.worker,
-                    packets: w.packets,
+                .map(|w| WorkerMetrics {
                     busy_ns: if deterministic { 0 } else { w.busy_ns },
                     idle_ns: if deterministic { 0 } else { w.idle_ns },
-                    queue_depth: w.queue_depth,
-                    // Memo counters are a pure function of the trace and
-                    // sharding, so they stay real in deterministic mode.
-                    memo_hits: w.memo_hits,
-                    memo_misses: w.memo_misses,
-                    memo_evictions: w.memo_evictions,
-                    // Also trace-determined — except under memoization,
-                    // where cache hits skip simulation and contribute no
-                    // bail-outs (see `PacketBench::block_bailouts`).
-                    block_bailouts: w.block_bailouts,
-                    // Trace-cache counters are likewise trace-determined:
-                    // formation and guard outcomes depend only on the packet
-                    // sequence each worker saw.
-                    traces_formed: w.traces_formed,
-                    trace_hits: w.trace_hits,
-                    trace_guard_exits: w.trace_guard_exits,
-                    trace_declines: w.trace_declines,
-                    ring_dropped: w.ring_dropped,
+                    ..w.clone()
                 })
                 .collect(),
             // Batch profiling has no ingestion ring; `pb live` builds

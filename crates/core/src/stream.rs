@@ -24,11 +24,12 @@
 //!   chunk to the owning worker's input queue and the worker's id to a
 //!   shared `order` queue. Flush order is a pure function of the trace,
 //!   the sharding rule, and `chunk_size` — never of thread timing.
-//! * **Workers** (one per shard, each owning a private `PacketBench`)
-//!   pop chunks FIFO, process every packet with the batch clock
-//!   (`process_packet_at(index, ..)`), fold the records into a per-chunk
-//!   [`StreamAggregate`], discard emitted output packets, and push one
-//!   outcome per chunk to their result queue.
+//! * **Workers** (one per shard) are thin loops around the engine's
+//!   shared worker core (see [`crate::engine`]): each pops chunks FIFO,
+//!   runs every packet through the core's per-packet step at its global
+//!   trace index — the batch clock — folds the records into a per-chunk
+//!   [`StreamAggregate`], discards emitted output packets, and pushes one
+//!   outcome per chunk to its result queue.
 //! * The **merger** (the calling thread) pops worker ids from `order` and
 //!   the matching outcome from that worker's result queue, releases the
 //!   chunk's permit, and merges aggregates *in flush order*.
@@ -62,21 +63,20 @@
 //! reported error is deterministic.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use nettrace::{Packet, PacketSource};
 use npobs::timeline::{Sample, Stage, Timeline};
+use npsim::NullObserver;
 use npstream::{BoundedQueue, Chunk, Semaphore, ShardBuffers};
 
 use crate::analysis::StreamAggregate;
-use crate::apps::App;
-use crate::engine::{Engine, LaneProbe, LaneTelemetry, MonitorCounters, WorkerMetrics};
+use crate::engine::{
+    nanos, per_sec, resolve_threads, Engine, LaneTelemetry, WorkerCore, WorkerMetrics,
+};
 use crate::error::BenchError;
-use crate::framework::{Detail, PacketBench, PacketRecord};
-
-/// How often the in-run progress line is refreshed.
-const PROGRESS_INTERVAL: Duration = Duration::from_millis(1000);
+use crate::framework::{Detail, PacketRecord};
 
 /// Sizing of the streaming pipeline. Zeros mean "pick a default":
 /// `threads = 0` uses available parallelism, `chunk_size = 0` uses
@@ -100,11 +100,7 @@ impl StreamConfig {
 
     /// Resolves the zero placeholders against `threads` workers.
     fn resolve(self) -> (usize, usize, usize) {
-        let threads = if self.threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            self.threads
-        };
+        let threads = resolve_threads(self.threads);
         let chunk_size = if self.chunk_size == 0 {
             StreamConfig::DEFAULT_CHUNK_SIZE
         } else {
@@ -156,12 +152,7 @@ impl StreamRun {
 
     /// Simulated packets per wall-clock second.
     pub fn packets_per_sec(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.packets() as f64 / secs
-        }
+        per_sec(self.packets(), self.elapsed)
     }
 }
 
@@ -177,18 +168,6 @@ enum ChunkOutcome {
     /// Skipped without processing (an earlier chunk on this worker
     /// failed, or the run was cancelled).
     Skipped,
-}
-
-/// The telemetry context a worker hands [`Engine::stream_chunk`] for the
-/// duration of one chunk: the lane being sampled, the cumulative probe,
-/// the worker's input queue (its depth is the lane's backlog), and the
-/// busy-time baseline so mid-chunk samples report honest busy time.
-struct ChunkTelemetry<'a> {
-    lane: &'a mut LaneTelemetry,
-    probe: &'a mut LaneProbe,
-    input: &'a BoundedQueue<(u64, Chunk<Packet>)>,
-    busy_base_ns: u64,
-    busy_start: Instant,
 }
 
 impl Engine {
@@ -228,194 +207,162 @@ impl Engine {
             .collect();
         let cancelled = AtomicBool::new(false);
         let source_error: Mutex<Option<BenchError>> = Mutex::new(None);
-        let counters = MonitorCounters::default();
-        let done = AtomicBool::new(false);
-        let monitoring = self.progress || self.watch;
-        let status = monitoring.then(|| self.status_line());
-        // The wall-clock sampler lanes: workers 0..threads, the reader at
-        // `threads`, the merger at `threads + 1`. Deterministic timelines
-        // sample only inside workers (per-packet logical deltas).
-        let wall_spec = self.timeline.filter(|s| !s.deterministic);
 
         let mut workers: Vec<WorkerMetrics> = Vec::with_capacity(threads);
         let mut lanes: Vec<LaneTelemetry> = Vec::new();
         let mut aggregate = StreamAggregate::new();
         let mut chunks = 0u64;
         let mut first_error: Option<BenchError> = None;
-        let mut merger_lane = wall_spec.map(|s| LaneTelemetry::new(s, threads + 1, start));
+        // The wall-clock sampler lanes: workers 0..threads, the reader at
+        // `threads`, the merger at `threads + 1`. Deterministic timelines
+        // sample only inside workers (per-packet logical deltas).
+        let mut merger_lane = LaneTelemetry::wall(self.timeline, threads + 1, start);
 
-        std::thread::scope(|scope| {
-            let monitor = status.as_ref().map(|status| {
-                let counters = &counters;
-                let done = &done;
-                let watch = self.watch;
-                let status = Arc::clone(status);
-                scope.spawn(move || {
-                    while !done.load(Ordering::Acquire) {
-                        std::thread::park_timeout(PROGRESS_INTERVAL);
-                        let n = counters.processed.load(Ordering::Relaxed);
-                        if done.load(Ordering::Acquire) || n == 0 {
-                            continue;
-                        }
-                        if watch {
-                            let pps = n as f64 / start.elapsed().as_secs_f64().max(1e-9);
-                            let memo = counters.memo_suffix();
-                            status.refresh(&format!("pb: {n} packets streamed {pps:.0} pps{memo}"));
-                        } else {
-                            status.emit(&format!("pb: {n} packets streamed"));
-                        }
-                    }
-                    if watch {
-                        status.finish_refresh();
-                    }
-                })
-            });
-            let counter = monitoring.then_some(&counters);
-
-            let reader = {
-                let permits = &permits;
-                let order = &order;
-                let inputs = &inputs;
-                let cancelled = &cancelled;
-                let source_error = &source_error;
-                let mut source = source;
-                scope.spawn(move || {
-                    let mut buffers: ShardBuffers<Packet> = ShardBuffers::new(threads, chunk_size);
-                    let mut lane = wall_spec.map(|s| LaneTelemetry::new(s, threads, start));
-                    let mut backpressure_ns = 0u64;
-                    let mut chunk_id = 0u64;
-                    let mut dispatch = |shard: usize,
-                                        chunk: Chunk<Packet>,
-                                        lane: &mut Option<LaneTelemetry>,
-                                        backpressure_ns: &mut u64|
-                     -> bool {
-                        let began = Instant::now();
-                        permits.acquire();
-                        *backpressure_ns +=
-                            began.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-                        let id = chunk_id;
-                        chunk_id += 1;
-                        let chunk_packets = chunk.len() as u64;
-                        // Input before order: once the merger learns of a
-                        // chunk, the chunk is already poppable by its
-                        // worker.
-                        let ok =
-                            inputs[shard].push((id, chunk)).is_ok() && order.push(shard).is_ok();
-                        if let Some(LaneTelemetry::Wall(_, log)) = lane {
-                            // The read span covers the backpressure wait
-                            // plus the (non-blocking) queue pushes.
-                            log.record(Stage::Read, id, threads, began, chunk_packets);
-                        }
-                        ok
-                    };
-                    'read: while !cancelled.load(Ordering::Acquire) {
-                        match source.next_packet() {
-                            Ok(Some(packet)) => {
-                                let shard =
-                                    self.shard_of(buffers.next_index() as usize, &packet, threads);
-                                if let Some(LaneTelemetry::Wall(sampler, _)) = &mut lane {
-                                    if sampler.on_packet() {
-                                        let inflight =
-                                            max_inflight.saturating_sub(permits.available());
-                                        sampler.push(Sample {
-                                            queue_depth: inflight as u64,
-                                            backpressure_ns,
-                                            ..Sample::default()
-                                        });
-                                    }
-                                }
-                                if let Some((shard, chunk)) = buffers.push(shard, packet) {
-                                    if !dispatch(shard, chunk, &mut lane, &mut backpressure_ns) {
-                                        break 'read;
-                                    }
-                                }
-                            }
-                            Ok(None) => {
-                                for (shard, chunk) in buffers.finish() {
-                                    if !dispatch(shard, chunk, &mut lane, &mut backpressure_ns) {
-                                        break;
-                                    }
-                                }
-                                break 'read;
-                            }
-                            Err(e) => {
-                                *source_error.lock().unwrap() = Some(BenchError::from(e));
-                                break 'read;
-                            }
-                        }
-                    }
-                    // No more chunks will be dispatched: the merger's
-                    // drain ends once in-flight outcomes are folded, and
-                    // idle workers wake up and exit.
-                    order.close();
-                    for input in inputs {
-                        input.close();
-                    }
-                    lane
-                })
-            };
-
-            let handles: Vec<_> = (0..threads)
-                .map(|w| {
-                    let input = &inputs[w];
-                    let result = &results[w];
+        let progress = |n: u64| format!("pb: {n} packets streamed");
+        self.monitored(start, progress, |monitor| {
+            std::thread::scope(|scope| {
+                let reader = {
+                    let permits = &permits;
+                    let order = &order;
+                    let inputs = &inputs;
                     let cancelled = &cancelled;
+                    let source_error = &source_error;
+                    let mut source = source;
                     scope.spawn(move || {
-                        self.stream_worker(w, input, result, detail, cancelled, counter, start)
+                        let mut buffers: ShardBuffers<Packet> =
+                            ShardBuffers::new(threads, chunk_size);
+                        let mut lane = LaneTelemetry::wall(self.timeline, threads, start);
+                        let mut backpressure_ns = 0u64;
+                        let mut chunk_id = 0u64;
+                        let mut dispatch = |shard: usize,
+                                            chunk: Chunk<Packet>,
+                                            lane: &mut Option<LaneTelemetry>,
+                                            backpressure_ns: &mut u64|
+                         -> bool {
+                            let began = Instant::now();
+                            permits.acquire();
+                            *backpressure_ns += nanos(began.elapsed());
+                            let id = chunk_id;
+                            chunk_id += 1;
+                            let chunk_packets = chunk.len() as u64;
+                            // Input before order: once the merger learns
+                            // of a chunk, the chunk is already poppable
+                            // by its worker.
+                            let ok = inputs[shard].push((id, chunk)).is_ok()
+                                && order.push(shard).is_ok();
+                            if let Some(lane) = lane {
+                                // The read span covers the backpressure
+                                // wait plus the (non-blocking) queue
+                                // pushes.
+                                lane.span(Stage::Read, id, began, chunk_packets);
+                            }
+                            ok
+                        };
+                        'read: while !cancelled.load(Ordering::Acquire) {
+                            match source.next_packet() {
+                                Ok(Some(packet)) => {
+                                    let position = buffers.next_index() as usize;
+                                    let shard = self.shard_of(position, &packet, threads);
+                                    if let Some(LaneTelemetry::Wall(sampler, _)) = &mut lane {
+                                        if sampler.on_packet() {
+                                            let inflight =
+                                                max_inflight.saturating_sub(permits.available());
+                                            sampler.push(Sample {
+                                                queue_depth: inflight as u64,
+                                                backpressure_ns,
+                                                ..Sample::default()
+                                            });
+                                        }
+                                    }
+                                    if let Some((shard, chunk)) = buffers.push(shard, packet) {
+                                        if !dispatch(shard, chunk, &mut lane, &mut backpressure_ns)
+                                        {
+                                            break 'read;
+                                        }
+                                    }
+                                }
+                                Ok(None) => {
+                                    for (shard, chunk) in buffers.finish() {
+                                        if !dispatch(shard, chunk, &mut lane, &mut backpressure_ns)
+                                        {
+                                            break;
+                                        }
+                                    }
+                                    break 'read;
+                                }
+                                Err(e) => {
+                                    *source_error.lock().unwrap() = Some(BenchError::from(e));
+                                    break 'read;
+                                }
+                            }
+                        }
+                        // No more chunks will be dispatched: the merger's
+                        // drain ends once in-flight outcomes are folded,
+                        // and idle workers wake up and exit.
+                        order.close();
+                        for input in inputs {
+                            input.close();
+                        }
+                        lane
                     })
-                })
-                .collect();
+                };
 
-            // The merger runs here, on the caller's thread: fold
-            // outcomes in flush order, releasing each chunk's permit.
-            while let Some(w) = order.pop() {
-                let fold_began = Instant::now();
-                let outcome = results[w]
-                    .pop()
-                    .expect("workers push exactly one outcome per chunk");
-                permits.release();
-                let id = chunks;
-                chunks += 1;
-                let mut fold_packets = 0u64;
-                match outcome {
-                    ChunkOutcome::Stats(agg) => {
-                        fold_packets = agg.packets();
-                        if first_error.is_none() {
-                            aggregate.merge(&agg);
+                let handles: Vec<_> = (0..threads)
+                    .map(|w| {
+                        let core = WorkerCore::new(self, w, detail, NullObserver, monitor, start);
+                        let (input, result, cancelled) = (&inputs[w], &results[w], &cancelled);
+                        scope.spawn(move || stream_worker(core, input, result, cancelled))
+                    })
+                    .collect();
+
+                // The merger runs here, on the caller's thread: fold
+                // outcomes in flush order, releasing each chunk's permit.
+                while let Some(w) = order.pop() {
+                    let fold_began = Instant::now();
+                    let outcome = results[w]
+                        .pop()
+                        .expect("workers push exactly one outcome per chunk");
+                    permits.release();
+                    let id = chunks;
+                    chunks += 1;
+                    let mut fold_packets = 0u64;
+                    match outcome {
+                        ChunkOutcome::Stats(agg) => {
+                            fold_packets = agg.packets();
+                            if first_error.is_none() {
+                                aggregate.merge(&agg);
+                            }
+                        }
+                        ChunkOutcome::Failed(error) => {
+                            if first_error.is_none() {
+                                first_error = Some(error);
+                                cancelled.store(true, Ordering::Release);
+                            }
+                        }
+                        ChunkOutcome::Skipped => {}
+                    }
+                    if let Some(LaneTelemetry::Wall(sampler, log)) = &mut merger_lane {
+                        // The merge span includes the wait for the
+                        // worker's outcome — merger stalls are visible,
+                        // not hidden.
+                        log.record(Stage::Merge, id, threads + 1, fold_began, fold_packets);
+                        if sampler.on_packets(fold_packets) {
+                            let inflight = max_inflight.saturating_sub(permits.available());
+                            sampler.push(Sample {
+                                queue_depth: inflight as u64,
+                                ..Sample::default()
+                            });
                         }
                     }
-                    ChunkOutcome::Failed(error) => {
-                        if first_error.is_none() {
-                            first_error = Some(error);
-                            cancelled.store(true, Ordering::Release);
-                        }
-                    }
-                    ChunkOutcome::Skipped => {}
                 }
-                if let Some(LaneTelemetry::Wall(sampler, log)) = &mut merger_lane {
-                    // The merge span includes the wait for the worker's
-                    // outcome — merger stalls are visible, not hidden.
-                    log.record(Stage::Merge, id, threads + 1, fold_began, fold_packets);
-                    if sampler.on_packets(fold_packets) {
-                        let inflight = max_inflight.saturating_sub(permits.available());
-                        sampler.push(Sample {
-                            queue_depth: inflight as u64,
-                            ..Sample::default()
-                        });
-                    }
-                }
-            }
 
-            lanes.extend(reader.join().expect("reader thread never panics"));
-            for handle in handles {
-                let (metrics, lane) = handle.join().expect("worker threads never panic");
-                workers.push(metrics);
-                lanes.extend(lane);
-            }
-            done.store(true, Ordering::Release);
-            if let Some(monitor) = monitor {
-                monitor.thread().unpark();
-            }
+                lanes.extend(reader.join().expect("reader thread never panics"));
+                for handle in handles {
+                    let (metrics, lane) = handle.join().expect("worker threads never panic");
+                    workers.push(metrics);
+                    lanes.extend(lane);
+                }
+            })
         });
 
         if let Some(e) = first_error {
@@ -424,25 +371,8 @@ impl Engine {
         if let Some(e) = source_error.into_inner().unwrap() {
             return Err(e);
         }
-        let timeline = self.timeline.map(|spec| {
-            if spec.deterministic {
-                Timeline::from_logical(lanes.into_iter().map(LaneTelemetry::into_logical).collect())
-            } else {
-                let mut samplers = Vec::new();
-                let mut logs = Vec::new();
-                for lane in lanes.into_iter().chain(merger_lane) {
-                    if let LaneTelemetry::Wall(sampler, log) = lane {
-                        samplers.push(sampler);
-                        logs.push(log);
-                    }
-                }
-                Timeline::from_wall(spec.interval, threads, samplers, logs)
-            }
-        });
-        let wall_ns = start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        for w in &mut workers {
-            w.idle_ns = wall_ns.saturating_sub(w.busy_ns);
-        }
+        lanes.extend(merger_lane);
+        let timeline = self.close_run(start, threads, &mut workers, lanes);
         Ok(StreamRun {
             aggregate,
             threads,
@@ -455,161 +385,47 @@ impl Engine {
             peak_rss_kb: npstream::peak_rss_kb(),
         })
     }
+}
 
-    /// One streaming worker: pop chunks FIFO, process each packet with
-    /// the batch clock, fold per-chunk aggregates, push one outcome per
-    /// chunk. The `PacketBench` is built on the first chunk so idle
-    /// workers cost nothing; emitted output packets are dropped per chunk
-    /// to keep memory bounded.
-    #[allow(clippy::too_many_arguments)]
-    fn stream_worker(
-        &self,
-        worker: usize,
-        input: &BoundedQueue<(u64, Chunk<Packet>)>,
-        result: &BoundedQueue<ChunkOutcome>,
-        detail: Detail,
-        cancelled: &AtomicBool,
-        progress: Option<&MonitorCounters>,
-        run_start: Instant,
-    ) -> (WorkerMetrics, Option<LaneTelemetry>) {
-        let mut bench: Option<PacketBench> = None;
-        let mut failed = false;
-        let mut enqueued = 0u64;
-        let mut packets = 0u64;
-        let mut busy_ns = 0u64;
-        let mut lane = self
-            .timeline
-            .map(|spec| LaneTelemetry::new(spec, worker, run_start));
-        let mut probe = LaneProbe::default();
-        while let Some((id, chunk)) = input.pop() {
-            enqueued += chunk.len() as u64;
-            if failed || cancelled.load(Ordering::Acquire) {
-                let _ = result.push(ChunkOutcome::Skipped);
-                continue;
-            }
-            let busy_start = Instant::now();
-            let telemetry = lane.as_mut().map(|lane| ChunkTelemetry {
-                lane,
-                probe: &mut probe,
-                input,
-                busy_base_ns: busy_ns,
-                busy_start,
-            });
-            let outcome = self.stream_chunk(
-                &mut bench,
-                &chunk,
-                detail,
-                progress,
-                &mut packets,
-                telemetry,
-            );
-            busy_ns += busy_start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-            if let Some(lane) = &mut lane {
-                lane.finish_exec(id, busy_start, chunk.len() as u64);
-            }
-            failed = !matches!(outcome, ChunkOutcome::Stats(_));
-            let _ = result.push(outcome);
+/// One streaming worker: pop chunks FIFO, run each through the shared
+/// worker core as one busy stretch, and push one outcome per chunk. The
+/// core's bench — and with it the memo cache — lives for the worker's
+/// whole run, so entries installed in one chunk serve hits in every later
+/// chunk; emitted output packets are dropped per chunk so they cannot
+/// accumulate.
+fn stream_worker(
+    mut core: WorkerCore<'_>,
+    input: &BoundedQueue<(u64, Chunk<Packet>)>,
+    result: &BoundedQueue<ChunkOutcome>,
+    cancelled: &AtomicBool,
+) -> (WorkerMetrics, Option<LaneTelemetry>) {
+    let mut failed = false;
+    let mut enqueued = 0u64;
+    while let Some((id, chunk)) = input.pop() {
+        enqueued += chunk.len() as u64;
+        if failed || cancelled.load(Ordering::Acquire) {
+            let _ = result.push(ChunkOutcome::Skipped);
+            continue;
         }
-        let memo = bench
-            .as_ref()
-            .map(|b| b.memo_counters())
-            .unwrap_or_default();
-        let tstats = bench.as_ref().map(|b| b.trace_stats()).unwrap_or_default();
-        let metrics = WorkerMetrics {
-            worker,
-            packets,
-            busy_ns,
-            idle_ns: 0,
-            queue_depth: enqueued,
-            memo_hits: memo.hits,
-            memo_misses: memo.misses,
-            memo_evictions: memo.evictions,
-            block_bailouts: bench.as_ref().map(|b| b.block_bailouts()).unwrap_or(0),
-            traces_formed: tstats.formed,
-            trace_hits: tstats.hits,
-            trace_guard_exits: tstats.guard_exits,
-            trace_declines: tstats.declines,
-            ring_dropped: 0,
-        };
-        (metrics, lane)
-    }
-
-    /// Processes one chunk, building the worker's `PacketBench` first if
-    /// this is its first chunk.
-    fn stream_chunk(
-        &self,
-        bench: &mut Option<PacketBench>,
-        chunk: &Chunk<Packet>,
-        detail: Detail,
-        progress: Option<&MonitorCounters>,
-        packets: &mut u64,
-        mut telemetry: Option<ChunkTelemetry<'_>>,
-    ) -> ChunkOutcome {
-        let bench = match bench {
-            Some(b) => b,
-            None => {
-                let built = App::build(self.id(), self.config())
-                    .and_then(|app| PacketBench::with_config(app, self.config()));
-                match built {
-                    Ok(mut b) => {
-                        // The bench — and with it the memo cache — lives
-                        // for the worker's whole run, so entries installed
-                        // in one chunk serve hits in every later chunk.
-                        b.set_memo(self.memo);
-                        bench.insert(b)
-                    }
-                    Err(error) => return ChunkOutcome::Failed(error),
-                }
-            }
-        };
+        let began = core.begin();
         let mut agg = StreamAggregate::new();
-        let mut last_memo = bench.memo_counters();
-        for &(index, ref packet) in &chunk.items {
+        let run = chunk.items.iter().try_for_each(|(index, packet)| {
             let mut record = PacketRecord::empty();
-            let run = bench
-                .process_packet_at(index, packet, detail, &mut record)
-                .and_then(|()| {
-                    if self.verify {
-                        bench.verify_record(packet, &record)
-                    } else {
-                        Ok(())
-                    }
-                });
-            if let Err(error) = run {
-                bench.take_output_packets();
-                return ChunkOutcome::Failed(error);
-            }
+            core.step(*index, packet, &mut record, || (input.len() as u64, 0))?;
             agg.add_record(&record);
-            *packets += 1;
-            if let Some(t) = telemetry.as_mut() {
-                t.probe.observe(
-                    t.lane,
-                    index,
-                    &record,
-                    bench,
-                    t.input.len() as u64,
-                    t.busy_base_ns,
-                    t.busy_start,
-                    0,
-                );
-            }
-            if let Some(counters) = progress {
-                counters.processed.fetch_add(1, Ordering::Relaxed);
-                let memo = bench.memo_counters();
-                let hits = memo.hits - last_memo.hits;
-                let lookups = (memo.hits + memo.misses) - (last_memo.hits + last_memo.misses);
-                if lookups > 0 {
-                    counters.memo_hits.fetch_add(hits, Ordering::Relaxed);
-                    counters.memo_lookups.fetch_add(lookups, Ordering::Relaxed);
-                }
-                last_memo = memo;
-            }
-        }
-        // Emitted packets are not part of the aggregate; drop them per
-        // chunk so they cannot accumulate.
-        bench.take_output_packets();
-        ChunkOutcome::Stats(agg)
+            Ok(())
+        });
+        core.take_outputs();
+        core.end();
+        core.exec_span(id, began, chunk.len() as u64);
+        failed = run.is_err();
+        let _ = result.push(match run {
+            Ok(()) => ChunkOutcome::Stats(agg),
+            Err(error) => ChunkOutcome::Failed(error),
+        });
     }
+    let (metrics, lane, NullObserver) = core.finish(enqueued, 0);
+    (metrics, lane)
 }
 
 #[cfg(test)]

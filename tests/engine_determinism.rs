@@ -5,10 +5,13 @@
 
 use nettrace::synth::{SyntheticTrace, TraceProfile};
 use nettrace::{Limited, Packet};
+use nprng::{Rng, SeedableRng, StdRng};
+use npstream::SourceSpec;
 use packetbench::analysis::StreamAggregate;
 use packetbench::apps::{App, AppId};
 use packetbench::engine::{Engine, EngineRun};
-use packetbench::framework::{Detail, PacketBench};
+use packetbench::framework::{Detail, MemoMode, PacketBench, PacketRecord};
+use packetbench::live::{LiveConfig, OnFull};
 use packetbench::stream::StreamConfig;
 use packetbench::{report, WorkloadConfig};
 
@@ -245,5 +248,110 @@ fn verified_parallel_runs_pass_golden_models() {
                 .unwrap();
             assert_eq!(run.records.len(), packets.len(), "{}", id.name());
         }
+    }
+}
+
+/// One randomly drawn run shape for the cross-mode equivalence check.
+#[derive(Debug)]
+struct Shape {
+    app: AppId,
+    source: String,
+    threads: usize,
+    chunk_size: usize,
+    max_inflight: usize,
+    ring: usize,
+    burst: usize,
+    memo: MemoMode,
+}
+
+impl Shape {
+    fn draw(rng: &mut StdRng) -> Shape {
+        let profile = if rng.gen_range(0..2) == 0 {
+            "mra".to_string()
+        } else {
+            format!("zipf:flows={}:skew=1.2", rng.gen_range(4..256u32))
+        };
+        Shape {
+            app: AppId::ALL[rng.gen_range(0..AppId::ALL.len())],
+            source: format!(
+                "synth:{profile}:seed={}:packets={}",
+                rng.gen_range(1..1_000_000u64),
+                rng.gen_range(1..301u64)
+            ),
+            threads: rng.gen_range(1..9),
+            chunk_size: [1, rng.gen_range(2..64), 4096][rng.gen_range(0..3)],
+            max_inflight: rng.gen_range(1..9),
+            ring: rng.gen_range(1..257),
+            burst: rng.gen_range(1..33),
+            memo: [MemoMode::Off, MemoMode::On][rng.gen_range(0..2)],
+        }
+    }
+}
+
+#[test]
+fn batch_stream_live_and_serial_agree_on_random_shapes() {
+    // The safety net for the shared worker core: over seeded random
+    // shapes, the batch fold, the stream aggregate and the zero-drop live
+    // aggregate all equal a plain serial `PacketBench` pass.
+    let mut rng = StdRng::seed_from_u64(2005_0320);
+    for _ in 0..24 {
+        let shape = Shape::draw(&mut rng);
+        let spec = SourceSpec::parse(&shape.source).unwrap();
+        let mut source = spec.open().unwrap();
+        let mut packets = Vec::new();
+        while let Some(packet) = source.next_packet().unwrap() {
+            packets.push(packet);
+        }
+
+        let config = WorkloadConfig::default();
+        let mut bench =
+            PacketBench::with_config(App::build(shape.app, &config).unwrap(), &config).unwrap();
+        let mut serial = StreamAggregate::new();
+        for (i, packet) in packets.iter().enumerate() {
+            let mut record = PacketRecord::empty();
+            bench
+                .process_packet_at(i as u64, packet, Detail::counts(), &mut record)
+                .unwrap();
+            serial.add_record(&record);
+        }
+
+        let engine = Engine::new(shape.app).memo(shape.memo);
+        let run = engine
+            .run(&packets, Detail::counts(), shape.threads)
+            .unwrap();
+        let mut batch = StreamAggregate::new();
+        for record in &run.records {
+            batch.add_record(record);
+        }
+        assert_eq!(batch, serial, "batch, {shape:?}");
+
+        let stream = engine
+            .run_streaming(
+                spec.open().unwrap(),
+                Detail::counts(),
+                StreamConfig {
+                    threads: shape.threads,
+                    chunk_size: shape.chunk_size,
+                    max_inflight: shape.max_inflight,
+                },
+            )
+            .unwrap();
+        assert_eq!(stream.aggregate, serial, "stream, {shape:?}");
+
+        let live = engine
+            .run_live(
+                &spec,
+                Detail::counts(),
+                LiveConfig {
+                    threads: shape.threads,
+                    ring: shape.ring,
+                    burst: shape.burst,
+                    on_full: OnFull::Wait,
+                    ..LiveConfig::default()
+                },
+            )
+            .unwrap();
+        assert_eq!(live.dropped, 0, "live, {shape:?}");
+        assert_eq!(live.aggregate, serial, "live, {shape:?}");
     }
 }
