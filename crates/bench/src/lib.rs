@@ -514,7 +514,7 @@ pub fn render_report_threaded(counts: &Counts, want: impl Fn(&str) -> bool, thre
                         ..Detail::counts()
                     },
                     |_, r| {
-                        let u = r.stats.uarch.expect("uarch enabled");
+                        let u = r.stats.uarch.as_deref().expect("uarch enabled");
                         *acc.entry("branches").or_default() += u.branches as f64;
                         *acc.entry("miss").or_default() += u.mispredictions as f64;
                         *acc.entry("ia").or_default() += u.icache_accesses as f64;

@@ -300,7 +300,7 @@ impl StreamAggregate {
         self.instructions += record.stats.instret;
         self.packet_mem += record.stats.mem.packet_total();
         self.non_packet_mem += record.stats.mem.non_packet_total();
-        if let Some(u) = record.stats.uarch {
+        if let Some(u) = record.stats.uarch.as_deref() {
             self.cycles += u.cycles;
         }
         *self

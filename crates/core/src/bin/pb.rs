@@ -45,7 +45,7 @@ use npstream::SourceSpec;
 use packetbench::analysis::StreamAggregate;
 use packetbench::apps::{App, AppId};
 use packetbench::engine::Engine;
-use packetbench::framework::{Detail, MemoMode};
+use packetbench::framework::{memo_guard, Detail, MemoMode};
 use packetbench::live::{LiveConfig, OnFull};
 use packetbench::profile::{run_profile, ProfileSpec};
 use packetbench::stream::StreamConfig;
@@ -359,24 +359,39 @@ fn memo_from(args: &Args) -> Result<MemoMode, CliError> {
 
 /// One stderr line summarizing per-worker memoization traffic. Printed
 /// only when memoization was requested, so default runs are unchanged.
-/// Routed through the run's shared [`StatusLine`] so it cannot interleave
-/// with an in-flight `--progress` or `--watch` line.
-fn report_memo(memo: MemoMode, workers: &[packetbench::WorkerMetrics], status: &StatusLine) {
+/// When the memo was skipped, the line says why: the application's static
+/// guard veto, or a detail level the memo does not serve. Routed through
+/// the run's shared [`StatusLine`] so it cannot interleave with an
+/// in-flight `--progress` or `--watch` line.
+fn report_memo(
+    id: AppId,
+    memo: MemoMode,
+    detail: Detail,
+    workers: &[packetbench::WorkerMetrics],
+    status: &StatusLine,
+) -> Result<(), CliError> {
     if memo == MemoMode::Off {
-        return;
+        return Ok(());
     }
+    let app = App::build(id, &WorkloadConfig::default()).map_err(|e| e.to_string())?;
     let hits: u64 = workers.iter().map(|w| w.memo_hits).sum();
     let misses: u64 = workers.iter().map(|w| w.memo_misses).sum();
     let evictions: u64 = workers.iter().map(|w| w.memo_evictions).sum();
     let total = hits + misses;
-    if total == 0 {
-        status.emit("memo:                   inactive (application not memoizable)");
-        return;
-    }
-    status.emit(&format!(
-        "memo:                   {hits} hits / {misses} misses ({:.1}% hit rate, {evictions} evictions)",
-        hits as f64 / total as f64 * 100.0
-    ));
+    let line = if let Err(why) = memo_guard(&app) {
+        format!("inactive ({why})")
+    } else if detail != Detail::counts() {
+        "inactive (the memo serves counts-only runs; --uarch attaches uarch models)".to_string()
+    } else if total == 0 {
+        "active, no packets looked up".to_string()
+    } else {
+        format!(
+            "{hits} hits / {misses} misses ({:.1}% hit rate, {evictions} evictions)",
+            hits as f64 / total as f64 * 100.0
+        )
+    };
+    status.emit(&format!("memo:                   {line}"));
+    Ok(())
 }
 
 /// The in-flight telemetry outputs requested on `pb run`/`pb stream`:
@@ -570,7 +585,7 @@ fn cmd_run(args: &Args) -> Result<(), CliError> {
     if run.threads > 1 {
         eprint!("{}", report::render_worker_table(&run.workers));
     }
-    report_memo(memo, &run.workers, &status);
+    report_memo(id, memo, detail, &run.workers, &status)?;
     write_timeline_outputs(&tl, run.timeline.as_ref(), id, &trace_label)?;
     Ok(())
 }
@@ -649,7 +664,7 @@ fn cmd_stream(args: &Args) -> Result<(), CliError> {
         Some(kb) => eprintln!("peak rss:               {kb} kB"),
         None => eprintln!("peak rss:               unavailable on this platform"),
     }
-    report_memo(memo, &run.workers, &status);
+    report_memo(id, memo, detail, &run.workers, &status)?;
     write_timeline_outputs(&tl, run.timeline.as_ref(), id, source_arg)?;
     Ok(())
 }
@@ -758,7 +773,7 @@ fn cmd_live(args: &Args) -> Result<(), CliError> {
         run.retired,
         run.drop_fraction() * 100.0
     );
-    report_memo(memo, &run.workers, &status);
+    report_memo(id, memo, detail, &run.workers, &status)?;
     write_timeline_outputs(&tl, run.timeline.as_ref(), id, source_arg)?;
     if let Some(path) = metrics_out {
         let doc = live_metrics_doc(id, source_arg, &run);

@@ -366,6 +366,45 @@ mod tests {
     }
 
     #[test]
+    fn default_trace_params_match_the_counts_loop_per_packet() {
+        // The conformance trace leg forms traces eagerly; the engine runs
+        // the default parameters, which warm up over 32 packets and then
+        // chain longer, loop-unrolled traces. Check those against the
+        // per-instruction counts loop packet by packet.
+        let packets = trace(2000, 11);
+        let config = WorkloadConfig::small();
+        let (mut trips, mut exits) = (0, 0);
+        for id in AppId::WITH_EXTENSIONS {
+            let build = || PacketBench::with_config(App::build(id, &config)?, &config);
+            let (mut bench, mut bench_counts) = (build().unwrap(), build().unwrap());
+            let program = bench_counts.app().image().program().clone();
+            let map = bench_counts.app().map();
+            let mut counts = ForcedCpu::new(Cpu::new(&program, map), ExecPath::Counts);
+            let (mut got, mut want) = (PacketRecord::empty(), PacketRecord::empty());
+            for (i, packet) in packets.iter().enumerate() {
+                bench
+                    .process_packet_into(packet, Detail::counts(), &mut got)
+                    .unwrap();
+                bench_counts
+                    .process_packet_via(&mut counts, packet, &RunConfig::default(), &mut want)
+                    .unwrap();
+                let (g, w) = (&got.stats, &want.stats);
+                assert_eq!(g.instret, w.instret, "{id:?} packet {i}: instret");
+                assert_eq!(g.op_mix, w.op_mix, "{id:?} packet {i}: op_mix");
+                assert_eq!(g.executed, w.executed, "{id:?} packet {i}: executed");
+                assert_eq!(g.mem, w.mem, "{id:?} packet {i}: mem");
+                assert_eq!(g.halt, w.halt, "{id:?} packet {i}: halt");
+                assert_eq!(got.verdict, want.verdict, "{id:?} packet {i}: verdict");
+            }
+            let t = bench.trace_stats();
+            trips += t.hits - t.guard_exits;
+            exits += t.guard_exits;
+        }
+        assert!(trips > 0, "no complete trace trip");
+        assert!(exits > 0, "no guard exit");
+    }
+
+    #[test]
     fn flow_class_conforms_across_thread_counts() {
         // The stateful app is the one whose engine sharding could skew:
         // check it at several worker counts over one trace.

@@ -336,29 +336,17 @@ impl PacketBench {
     /// Enables (or disables) per-flow memoization of the counts-only path.
     ///
     /// A mode other than [`MemoMode::Off`] only takes effect when the
-    /// application both declares a memo key ([`AppId::memo_key_len`]) and
-    /// passes the static write-region guard: `npsim::analyze_writes` must
-    /// prove every store targets the packet buffer, the stack, or the
-    /// `.data` scratch below [`App::struct_base`], and the program must
-    /// not call the side-effectful `write_packet_to_file`. Applications
-    /// failing either test silently bypass the cache — annotations are
-    /// never trusted over the analysis.
+    /// application passes [`memo_guard`]; applications failing it
+    /// silently bypass the cache — annotations are never trusted over the
+    /// analysis.
     pub fn set_memo(&mut self, mode: MemoMode) {
         self.memo = None;
         if mode == MemoMode::Off {
             return;
         }
-        let Some(key_len) = self.app.id().memo_key_len() else {
+        let Ok(key_len) = memo_guard(&self.app) else {
             return;
         };
-        let analysis = npsim::analyze_writes(
-            self.app.image().program(),
-            &self.map,
-            self.app.struct_base(),
-        );
-        if !analysis.memoizable || analysis.sys_codes.contains(&sys::WRITE) {
-            return;
-        }
         self.memo = Some(MemoLayer {
             mode,
             cache: MemoCache::new(),
@@ -760,6 +748,32 @@ impl PacketBench {
         }
         Ok(())
     }
+}
+
+/// The static memoization guard: the memo key length when `app` may be
+/// memoized. That needs a declared memo key
+/// ([`crate::apps::AppId::memo_key_len`]), a proof from
+/// `npsim::analyze_writes` that every store targets the packet buffer, the
+/// stack, or the `.data` scratch below [`App::struct_base`], and no call
+/// to the side-effectful `write_packet_to_file`.
+///
+/// # Errors
+///
+/// Why the guard vetoes memoization: no declared key, the first store the
+/// analysis could not prove packet-scoped, or the `write_packet_to_file`
+/// call.
+pub fn memo_guard(app: &App) -> Result<usize, String> {
+    let Some(key_len) = app.id().memo_key_len() else {
+        return Err("application declares no memo key".into());
+    };
+    let analysis = npsim::analyze_writes(app.image().program(), &app.map(), app.struct_base());
+    if let Some(store) = analysis.violations.first() {
+        return Err(format!("write guard: {store}"));
+    }
+    if analysis.sys_codes.contains(&sys::WRITE) {
+        return Err("write guard: calls write_packet_to_file".into());
+    }
+    Ok(key_len)
 }
 
 /// Rejects captures shorter than an IPv4 header.

@@ -425,9 +425,9 @@ pub(crate) struct BlockEntry {
 ///
 /// Built once per program (PacketBench builds it next to the `BlockMap` it
 /// already keeps) and shared immutably by the counts-only block engine;
-/// the only mutable pieces are per-block inline caches ([`Cell`]) and a
-/// reusable executed-blocks scratch set ([`RefCell`]), which keep the
-/// table `Send` (one table per worker thread) though not `Sync`.
+/// the only mutable pieces are per-block inline caches ([`Cell`]) and
+/// reusable per-run scratch ([`RefCell`]), which keep the table `Send`
+/// (one table per worker thread) though not `Sync`.
 #[derive(Debug, Clone)]
 pub struct BlockTable {
     map: BlockMap,
@@ -438,13 +438,18 @@ pub struct BlockTable {
     /// `uop_start`/`uop_len`), so block interiors execute out of one
     /// contiguous allocation.
     uops: Vec<UOp>,
-    /// Scratch per-block seen set, reused across runs so the block engine
-    /// stays zero-allocation per packet.
-    seen: RefCell<BitSet>,
-    /// Scratch per-block retire counts, all-zero between runs. The engine
-    /// counts retires here and folds `mix * retires` into the run's op mix
-    /// once per seen block at run end, instead of seven u64 adds per
-    /// retire.
+    /// Per-block instruction-coverage masks, flat: block `b`'s mask is
+    /// the `mask_words` words at `b * mask_words`, with bit `i` set for
+    /// every instruction `i` of the block. The run-end fold ORs a retired
+    /// block's mask into `RunStats::executed` a word at a time.
+    masks: Vec<u64>,
+    /// Words per coverage mask: `program.len().div_ceil(64)`, the word
+    /// count of `RunStats::executed`.
+    mask_words: usize,
+    /// Scratch per-block retire counts, all-zero between runs. A retire
+    /// is one increment here; the run-end fold scans the counts in block
+    /// order, folds `mix * retires` and the block's coverage mask for
+    /// each non-zero count, and re-zeroes it.
     retires: RefCell<Vec<u64>>,
     /// The hot-trace layer: warm-up counters, formed traces, per-run
     /// trace retires, telemetry. Lives on the table (not the `Cpu`) so it
@@ -466,7 +471,11 @@ impl BlockTable {
         let entries = (0..map.num_blocks())
             .map(|b| Self::decode_block(program, &map, b, &mut uops))
             .collect();
-        let seen = RefCell::new(BitSet::new(map.num_blocks()));
+        let mask_words = n.div_ceil(64);
+        let mut masks = vec![0u64; map.num_blocks() * mask_words];
+        for (i, &b) in map.block_ids().iter().enumerate() {
+            masks[b as usize * mask_words + i / 64] |= 1 << (i % 64);
+        }
         let retires = RefCell::new(vec![0u64; map.num_blocks()]);
         let trace = RefCell::new(TraceState::new(map.num_blocks(), TraceParams::default()));
         BlockTable {
@@ -474,7 +483,8 @@ impl BlockTable {
             is_leader,
             entries,
             uops,
-            seen,
+            masks,
+            mask_words,
             retires,
             trace,
         }
@@ -1086,28 +1096,26 @@ impl BlockTable {
         self.is_leader[index]
     }
 
-    /// Borrows the cleared per-run seen-blocks scratch set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a previous borrow is still live (the block engine is not
-    /// reentrant over one table).
-    pub(crate) fn seen_scratch(&self) -> RefMut<'_, BitSet> {
-        let mut seen = self.seen.borrow_mut();
-        seen.clear();
-        seen
-    }
-
     /// Borrows the per-block retire-count scratch. The caller must zero
     /// every entry it incremented before dropping the borrow (the engine
-    /// does so while folding seen blocks), keeping the all-zero invariant
-    /// without an O(num_blocks) clear per run.
+    /// does so in its run-end fold), keeping the all-zero invariant.
     ///
     /// # Panics
     ///
     /// Panics if a previous borrow is still live.
     pub(crate) fn retire_scratch(&self) -> RefMut<'_, Vec<u64>> {
         self.retires.borrow_mut()
+    }
+
+    /// Block `b`'s instruction-coverage mask (see [`BlockTable::masks`]).
+    #[inline(always)]
+    pub(crate) fn mask(&self, b: usize) -> &[u64] {
+        &self.masks[b * self.mask_words..(b + 1) * self.mask_words]
+    }
+
+    /// Words per coverage mask (`program.len().div_ceil(64)`).
+    pub(crate) fn mask_words(&self) -> usize {
+        self.mask_words
     }
 
     /// The predecoded entry for block `b`.
@@ -1124,13 +1132,62 @@ impl BlockTable {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::isa::{reg, Inst};
+    use crate::isa::{reg, Inst, Reg};
     use crate::mem::MemoryMap;
 
     fn program(insts: Vec<Inst>) -> Program {
         Program::new(insts, MemoryMap::default().text_base)
+    }
+
+    /// The five shipped applications' programs, by slug. The
+    /// dev-dependency links its own build of this crate, so each
+    /// instruction is rebuilt field by field into this build's types.
+    pub(crate) fn app_programs() -> Vec<(&'static str, Program)> {
+        let config = packetbench::WorkloadConfig::small();
+        packetbench::AppId::WITH_EXTENSIONS
+            .into_iter()
+            .map(|id| {
+                let app = packetbench::App::build(id, &config).expect("application assembles");
+                let p = app.image().program();
+                let insts = p
+                    .insts()
+                    .iter()
+                    .map(|i| Inst {
+                        op: Op::from_code(i.op.code()).expect("known opcode"),
+                        rd: Reg::new(i.rd.number()),
+                        rs1: Reg::new(i.rs1.number()),
+                        rs2: Reg::new(i.rs2.number()),
+                        imm: i.imm,
+                    })
+                    .collect();
+                (id.slug(), Program::new(insts, p.text_base()))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn block_masks_partition_every_application() {
+        for (app, p) in app_programs() {
+            let t = BlockTable::build(&p);
+            assert_eq!(t.mask_words(), p.len().div_ceil(64), "{app}");
+            let mut union = vec![0u64; t.mask_words()];
+            for b in 0..t.num_blocks() {
+                let mask = t.mask(b);
+                let bits: u32 = mask.iter().map(|w| w.count_ones()).sum();
+                assert_eq!(bits, t.entry(b).len, "{app}: block {b} mask size");
+                for (u, w) in union.iter_mut().zip(mask) {
+                    assert_eq!(*u & w, 0, "{app}: block {b} overlaps an earlier block");
+                    *u |= w;
+                }
+            }
+            let all: u32 = union.iter().map(|w| w.count_ones()).sum();
+            assert_eq!(all as usize, p.len(), "{app}: bits outside the program");
+            for i in 0..p.len() {
+                assert!(union[i / 64] >> (i % 64) & 1 == 1, "{app}: {i} uncovered");
+            }
+        }
     }
 
     #[test]

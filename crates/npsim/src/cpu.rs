@@ -293,8 +293,10 @@ pub struct RunStats {
     pub mem_trace: Vec<MemEvent>,
     /// Why the run ended.
     pub halt: HaltReason,
-    /// Micro-architectural model results, if models were attached.
-    pub uarch: Option<UarchStats>,
+    /// Micro-architectural model results, if models were attached. Boxed
+    /// so counts-only statistics, which every packet record carries,
+    /// pay one pointer for it instead of the whole struct.
+    pub uarch: Option<Box<UarchStats>>,
 }
 
 impl RunStats {
@@ -685,7 +687,7 @@ impl<'p> Cpu<'p> {
         }
 
         if let Some(u) = uarch {
-            stats.uarch = Some(UarchStats {
+            stats.uarch = Some(Box::new(UarchStats {
                 branches: u.predictor.predictions(),
                 mispredictions: u.predictor.mispredictions(),
                 icache_accesses: u.icache.accesses(),
@@ -694,7 +696,7 @@ impl<'p> Cpu<'p> {
                 dcache_misses: u.dcache.misses(),
                 cycles: u.cycles(),
                 stall_cycles: u.stall_cycles(),
-            });
+            }));
         }
         Ok(())
     }
@@ -977,12 +979,8 @@ impl<'p> Cpu<'p> {
             "block table built from a different program"
         );
 
-        // Blocks retired whole this run; expanded into per-instruction
-        // `executed` bits on every exit. Kept separate from
-        // `stats.executed` because the per-instruction fallback may set a
-        // leader's bit and then fault mid-block — expanding leader bits
-        // would over-mark.
-        let mut seen = table.seen_scratch();
+        // Whole-block retires this run, per block; folded into `op_mix`
+        // and `executed` on every exit.
         let mut retires = table.retire_scratch();
         let mut tstate = table.trace_scratch();
         if TRACES {
@@ -993,9 +991,8 @@ impl<'p> Cpu<'p> {
         let crate::trace::TraceState {
             traces,
             trace_of,
-            retires: trace_retires,
-            exit_retires,
-            exited,
+            ends,
+            touched,
             stats: tstats,
             heat,
             taken,
@@ -1048,15 +1045,14 @@ impl<'p> Cpu<'p> {
                             tstats.declines += 1;
                         } else {
                             tstats.hits += 1;
-                            match self.exec_trace(
-                                tr,
-                                mem,
-                                stats,
-                                &mut exit_retires[t as usize],
-                                &mut exited[t as usize],
-                                &mut trace_retires[t as usize],
-                                &mut tstats.guard_exits,
-                            ) {
+                            let (seg, exit) =
+                                self.exec_trace(tr, mem, stats, &mut tstats.guard_exits);
+                            let count = &mut ends[t as usize][seg];
+                            if *count == 0 {
+                                touched.push((t, seg as u32));
+                            }
+                            *count += 1;
+                            match exit {
                                 TraceExit::Block(nb) => {
                                     b = nb;
                                     continue 'chain;
@@ -1079,11 +1075,11 @@ impl<'p> Cpu<'p> {
                 // op-class mix, and coverage in one shot, before the
                 // terminator runs — matching the per-instruction order
                 // where accounting precedes the `sys`/`halt` dispatch.
-                // The mix itself folds in at run end (`mix * retires`),
-                // so a retire is two increments, not seven u64 adds.
+                // Mix and coverage fold in at run end (`mix * retires`
+                // plus the block's coverage mask), so a retire is two
+                // increments.
                 stats.instret += len;
                 retires[b] += 1;
-                seen.insert(b);
                 if train {
                     heat[b] += 1;
                 }
@@ -1278,62 +1274,29 @@ impl<'p> Cpu<'p> {
             }
         }
 
-        // Guard-exited trace prefixes were deferred to O(1) per-exit-point
-        // counters during the run; fold each touched exit point as one
-        // scaled merge of its precomputed prefix mix plus coverage over
-        // the prefix's distinct blocks — never a per-block retire walk.
-        // `exited` keeps the fold from scanning untouched traces.
+        // Run-end fold, on every exit (faults included, so partial runs
+        // compare equal to the per-instruction loop): each deferred count
+        // becomes one scaled op-mix merge plus one word-level OR of a
+        // precomputed coverage mask (instret was added as the code ran).
+        // Taking each count re-zeroes the scratch for the next run.
+        // Traces fold through `touched`, since unrolled traces run to
+        // 128 segments; blocks are scanned in order, since shipped
+        // programs have 13–48 of them.
         if TRACES {
-            for (t, tr) in traces.iter().enumerate() {
-                if std::mem::take(&mut exited[t]) == 0 {
-                    continue;
-                }
-                for (i, times) in exit_retires[t].iter_mut().enumerate() {
-                    let times = std::mem::take(times);
-                    if times == 0 {
-                        continue;
-                    }
-                    stats.op_mix.merge_scaled(&tr.prefix_mix[i], times);
-                    let hi = tr.segs[i].distinct_hi as usize;
-                    for &blk in &tr.blocks[..hi] {
-                        for idx in table.block_map().block_range(blk as usize) {
-                            stats.executed.insert(idx);
-                        }
-                    }
-                }
+            for (t, i) in touched.drain(..) {
+                let (tr, i) = (&traces[t as usize], i as usize);
+                let times = std::mem::take(&mut ends[t as usize][i]);
+                stats.op_mix.merge_scaled(&tr.prefix_mix[i], times);
+                stats.executed.or_words(tr.prefix_mask(i));
             }
         }
-        // Expand fully-retired blocks into per-instruction coverage bits
-        // and fold the deferred op-mix deltas — on every exit, including
-        // faults, so partial runs compare equal to the per-instruction
-        // loop. Zeroing each visited retire count restores the scratch's
-        // all-zero invariant without an O(num_blocks) clear.
-        for b in seen.iter() {
-            for i in table.block_map().block_range(b) {
-                stats.executed.insert(i);
-            }
-            let times = std::mem::take(&mut retires[b]);
-            stats.op_mix.merge_scaled(&table.entry(b).mix, times);
-        }
-        // Fold complete trace trips the same way: one scaled mix merge
-        // per trace plus member-block coverage expansion (instret was
-        // already added per trip). Traces are few, so iterating them all
-        // is cheaper than tracking a seen set.
-        if TRACES {
-            for (t, tr) in traces.iter().enumerate() {
-                let times = std::mem::take(&mut trace_retires[t]);
-                if times == 0 {
-                    continue;
-                }
-                stats.op_mix.merge_scaled(&tr.mix, times);
-                for &blk in &tr.blocks {
-                    for i in table.block_map().block_range(blk as usize) {
-                        stats.executed.insert(i);
-                    }
-                }
+        for (b, times) in retires.iter_mut().enumerate() {
+            let times = std::mem::take(times);
+            if times != 0 {
+                stats.op_mix.merge_scaled(&table.entry(b).mix, times);
+                stats.executed.or_words(table.mask(b));
             }
         }
-        drop(seen);
         drop(retires);
         drop(tstate);
 
@@ -1357,21 +1320,18 @@ impl<'p> Cpu<'p> {
     /// the budget was pre-checked), so deferring the whole trip's
     /// instret/mix/coverage to one fused delta at completion is
     /// unobservable. A mispredicted guard exits with the architectural
-    /// state the block path would have had at the same point; its prefix
-    /// retire is itself deferred — one bump of the member's exit counter
-    /// here, folded as a precomputed prefix delta at run end — so
-    /// falling off a trace costs O(1), not O(prefix).
-    #[allow(clippy::too_many_arguments)]
+    /// state the block path would have had at the same point. Either way
+    /// the trip's mix and coverage are deferred: this returns the segment
+    /// the trip ended at, whose counter the caller bumps and the run-end
+    /// fold applies as a precomputed prefix mix and prefix mask — so
+    /// leaving a trace costs O(1), not O(prefix).
     fn exec_trace(
         &mut self,
         tr: &TraceEntry,
         mem: &mut Memory,
         stats: &mut RunStats,
-        exit_retires: &mut [u64],
-        exited: &mut u64,
-        trace_retire: &mut u64,
         guard_exits: &mut u64,
-    ) -> TraceExit {
+    ) -> (usize, TraceExit) {
         let mut uop_start = 0usize;
         let mut group_start = 0usize;
         for (i, seg) in tr.segs.iter().enumerate() {
@@ -1428,31 +1388,27 @@ impl<'p> Cpu<'p> {
                         _ => a >= b,
                     };
                     if t != expect {
-                        // Mispredict: fall off the trace. The prefix
-                        // retire is deferred to the run-end fold, which
-                        // applies this exit point's precomputed prefix
-                        // mix and coverage in one merge.
+                        // Mispredict: fall off the trace after segment
+                        // `i`, whose prefix the run-end fold applies.
                         *guard_exits += 1;
-                        *exited += 1;
-                        exit_retires[i] += 1;
                         stats.instret += seg.prefix_len;
                         self.pc = exit_pc;
-                        return if exit_block == u32::MAX {
+                        let exit = if exit_block == u32::MAX {
                             TraceExit::Cold
                         } else {
                             TraceExit::Block(exit_block as usize)
                         };
+                        return (i, exit);
                     }
                 }
             }
         }
 
-        // Complete trip: one fused delta (mix and coverage fold at run
-        // end through the per-trace retire count).
+        // Complete trip: one fused delta. Mix and coverage fold at run
+        // end through the last segment, whose prefix is the whole trip.
         stats.instret += tr.total_len;
-        *trace_retire += 1;
         self.pc = tr.next_pc;
-        TraceExit::Block(tr.next_block as usize)
+        (tr.segs.len() - 1, TraceExit::Block(tr.next_block as usize))
     }
 
     /// One predecoded micro-op inside a fully-retired block.

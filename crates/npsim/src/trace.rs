@@ -165,10 +165,6 @@ pub(crate) struct TraceSeg {
     /// Instructions in members `0..=this` — the instret delta applied
     /// when this member's guard mispredicts.
     pub(crate) prefix_len: u64,
-    /// Distinct blocks in members `0..=this`, as a prefix length of
-    /// [`TraceEntry::blocks`] (which is in first-seen order) — the
-    /// coverage expansion applied when this member's guard mispredicts.
-    pub(crate) distinct_hi: u32,
     pub(crate) guard: Guard,
 }
 
@@ -186,14 +182,14 @@ pub(crate) struct TraceEntry {
     /// Every member's memory groups, concatenated in chain order (the
     /// per-segment region-gate input).
     pub(crate) groups: Vec<MemGroup>,
-    /// Unique member block ids in first-seen order, for coverage
-    /// expansion at run end (`TraceSeg::distinct_hi` prefixes this).
-    pub(crate) blocks: Vec<u32>,
-    /// Fused op-class mix for members `0..=i` — the one-merge delta for
-    /// a trip that exits at member `i`'s guard.
+    /// Instruction-coverage masks, flat, one per segment
+    /// ([`TraceEntry::prefix_mask`]): the union of the block masks of the
+    /// members up to and including segment `i`.
+    pub(crate) cover: Vec<u64>,
+    /// Fused op-class mix of the same members, one per segment. Mix and
+    /// mask `i` are the run-end fold of a trip that ends at segment `i`'s
+    /// guard; the last segment's are a complete trip's.
     pub(crate) prefix_mix: Vec<OpMix>,
-    /// Fused op-class mix for one complete trip.
-    pub(crate) mix: OpMix,
     /// Fused instruction count for one complete trip.
     pub(crate) total_len: u64,
     /// Where a completed trip continues — always a static in-text block,
@@ -203,8 +199,17 @@ pub(crate) struct TraceEntry {
     pub(crate) next_pc: u32,
 }
 
+impl TraceEntry {
+    /// The coverage mask of a trip that ends at segment `i`'s guard.
+    #[inline]
+    pub(crate) fn prefix_mask(&self, i: usize) -> &[u64] {
+        let w = self.cover.len() / self.segs.len();
+        &self.cover[i * w..(i + 1) * w]
+    }
+}
+
 /// The mutable trace layer hung off a [`BlockTable`]: warm-up counters,
-/// formed traces, per-run trace retire counts, and telemetry. Lives in a
+/// formed traces, per-run trip counts, and telemetry. Lives in a
 /// `RefCell` on the table so it persists across per-packet `Cpu`
 /// reconstruction (PacketBench builds one table per worker).
 #[derive(Debug, Clone)]
@@ -226,18 +231,16 @@ pub(crate) struct TraceState {
     /// by construction.
     pub(crate) trace_of: Vec<u32>,
     pub(crate) traces: Vec<TraceEntry>,
-    /// Per-trace complete-trip counts for the current run; folded into
-    /// the run's op mix and coverage at run end, then re-zeroed (same
-    /// deferred scheme as the block-level retire scratch).
-    pub(crate) retires: Vec<u64>,
-    /// Per-trace, per-member guard-exit counts for the current run: a
-    /// mispredict at member `i` bumps `exit_retires[t][i]` and nothing
-    /// else, so falling off a trace is O(1); the run-end fold expands
-    /// each exit point into block-level retires for its prefix.
-    pub(crate) exit_retires: Vec<Vec<u64>>,
-    /// Per-trace sum of `exit_retires[t]` for the current run — lets the
-    /// run-end fold skip untouched traces without walking their members.
-    pub(crate) exited: Vec<u64>,
+    /// Per-trace, per-segment trip-end counts for the current run: a trip
+    /// that mispredicts at segment `i`'s guard, or completes (`i` = the
+    /// last segment), bumps `ends[t][i]`, so leaving a trace is O(1). The
+    /// run-end fold applies each non-zero count as one scaled prefix-mix
+    /// merge plus one prefix-mask OR, then re-zeroes it (same deferred
+    /// scheme as the block-level retire scratch).
+    pub(crate) ends: Vec<Vec<u64>>,
+    /// The `(trace, segment)` pairs whose `ends` count left zero this run,
+    /// in first-end order: the run-end fold visits only these.
+    pub(crate) touched: Vec<(u32, u32)>,
     pub(crate) stats: TraceStats,
 }
 
@@ -252,9 +255,8 @@ impl TraceState {
             not_taken: vec![0; num_blocks],
             trace_of: vec![u32::MAX; num_blocks],
             traces: Vec::new(),
-            retires: Vec::new(),
-            exit_retires: Vec::new(),
-            exited: Vec::new(),
+            ends: Vec::new(),
+            touched: Vec::new(),
             stats: TraceStats::default(),
         }
     }
@@ -291,9 +293,7 @@ impl TraceState {
                 self.traces.push(entry);
             }
         }
-        self.retires = vec![0; self.traces.len()];
-        self.exit_retires = self.traces.iter().map(|t| vec![0; t.segs.len()]).collect();
-        self.exited = vec![0; self.traces.len()];
+        self.ends = self.traces.iter().map(|t| vec![0; t.segs.len()]).collect();
     }
 
     /// Greedily grows a guarded chain from `head`, following
@@ -304,8 +304,11 @@ impl TraceState {
         let mut segs: Vec<TraceSeg> = Vec::new();
         let mut uops: Vec<UOp> = Vec::new();
         let mut groups: Vec<MemGroup> = Vec::new();
-        let mut blocks: Vec<u32> = Vec::new();
         let mut prefix_mix: Vec<OpMix> = Vec::new();
+        // Running union of member block masks, and its value after each
+        // member (one `mask_words` stride per segment).
+        let mut covered = vec![0u64; table.mask_words()];
+        let mut cover: Vec<u64> = Vec::new();
         let mut total_len = 0u64;
         let mut mix = OpMix::new();
         let mut cur = head;
@@ -327,16 +330,16 @@ impl TraceState {
             total_len += entry.len as u64;
             mix.merge_scaled(&entry.mix, 1);
             prefix_mix.push(mix);
-            if !blocks.contains(&(cur as u32)) {
-                blocks.push(cur as u32);
+            for (c, m) in covered.iter_mut().zip(table.mask(cur)) {
+                *c |= m;
             }
+            cover.extend_from_slice(&covered);
             uops.extend_from_slice(table.uops(entry));
             groups.extend_from_slice(&entry.groups);
             segs.push(TraceSeg {
                 uop_end: uops.len() as u32,
                 group_end: groups.len() as u32,
                 prefix_len: total_len,
-                distinct_hi: blocks.len() as u32,
                 guard,
             });
             weak |= !strong;
@@ -358,7 +361,7 @@ impl TraceState {
             return None;
         }
         let (nseg, nuop) = (segs.len(), uops.len());
-        merge_segs(&mut segs, &mut prefix_mix, &uops, &groups);
+        merge_segs(&mut segs, &mut prefix_mix, &mut cover, &uops, &groups);
         peephole(&mut uops, &mut segs);
         if std::env::var_os("NPSIM_TRACE_DEBUG").is_some() {
             eprintln!(
@@ -372,9 +375,8 @@ impl TraceState {
             segs,
             uops,
             groups,
-            blocks,
+            cover,
             prefix_mix,
-            mix,
             total_len,
             next_block: next,
             next_pc,
@@ -463,8 +465,8 @@ impl TraceState {
 /// its successor removes both, and (because the uop peephole runs after
 /// this pass) lets superop fusion reach across the former block
 /// boundary. The merged segment keeps the successor's guard and
-/// cumulative exit-fold data, which stay exact: no exit was possible at
-/// the elided boundary.
+/// cumulative exit-fold data (prefix mix and prefix coverage mask), which
+/// stay exact: no exit was possible at the elided boundary.
 ///
 /// Soundness of the wider gate: the region gate is a pure fast path —
 /// when it fails, grouped accesses classify one at a time to exactly the
@@ -478,11 +480,14 @@ impl TraceState {
 fn merge_segs(
     segs: &mut Vec<TraceSeg>,
     prefix_mix: &mut Vec<OpMix>,
+    cover: &mut Vec<u64>,
     uops: &[UOp],
     groups: &[MemGroup],
 ) {
+    let w = cover.len() / segs.len();
     let mut out_segs: Vec<TraceSeg> = Vec::with_capacity(segs.len());
     let mut out_mix: Vec<OpMix> = Vec::with_capacity(prefix_mix.len());
+    let mut out_cover: Vec<u64> = Vec::with_capacity(cover.len());
     // Start of the merged segment currently being grown.
     let mut seg_uop_start = 0usize;
     for (i, &seg) in segs.iter().enumerate() {
@@ -503,10 +508,12 @@ fn merge_segs(
         }
         out_segs.push(seg);
         out_mix.push(prefix_mix[i]);
+        out_cover.extend_from_slice(&cover[i * w..(i + 1) * w]);
         seg_uop_start = seg.uop_end as usize;
     }
     *segs = out_segs;
     *prefix_mix = out_mix;
+    *cover = out_cover;
 }
 
 /// Formation-time superop pass over a trace's flattened micro-op stream.
@@ -647,4 +654,76 @@ fn fuse_at(w: &[UOp], i: usize) -> Option<(UOp, usize)> {
         _ => return None,
     };
     Some((pair, 2))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::bblock::tests::app_programs;
+
+    fn is_subset(a: &[u64], b: &[u64]) -> bool {
+        a.iter().zip(b).all(|(x, y)| x & !y == 0)
+    }
+
+    #[test]
+    fn trace_masks_match_member_blocks_on_every_application() {
+        let mut checked = 0;
+        for (app, p) in app_programs() {
+            let table = BlockTable::build(&p);
+            let text_base = p.text_base();
+            let mut st = TraceState::new(table.num_blocks(), TraceParams::eager());
+            // Synthetic warm-up: every block hot, branches alternately
+            // biased taken and not taken, so chains pass guards of both
+            // directions.
+            for b in 0..table.num_blocks() {
+                st.heat[b] = 1;
+                if b % 2 == 0 {
+                    st.taken[b] = 1;
+                } else {
+                    st.not_taken[b] = 1;
+                }
+            }
+            st.form(&table, text_base);
+            for (head, &t) in st.trace_of.iter().enumerate() {
+                if t == u32::MAX {
+                    continue;
+                }
+                let tr = &st.traces[t as usize];
+                // Re-walk the chain: the members are the predicted
+                // successors from the head until the trip length is
+                // used up. Record the coverage after each member.
+                let mut covered = vec![0u64; table.mask_words()];
+                let mut after: Vec<(u64, Vec<u64>)> = Vec::new();
+                let (mut cur, mut len) = (head, 0u64);
+                while len < tr.total_len {
+                    len += table.entry(cur).len as u64;
+                    for (c, m) in covered.iter_mut().zip(table.mask(cur)) {
+                        *c |= m;
+                    }
+                    after.push((len, covered.clone()));
+                    let (_, succ, _) = st.chain_step(cur, &table, text_base).expect("member");
+                    cur = succ as usize;
+                }
+                let at = format!("{app}: trace at block {head}");
+                assert_eq!(len, tr.total_len, "{at}");
+                assert_eq!(cur as u32, tr.next_block, "{at}");
+                let trip = tr.prefix_mask(tr.segs.len() - 1);
+                assert_eq!(trip, &covered[..], "{at}: trip mask");
+                let mut prev = vec![0u64; table.mask_words()];
+                for (i, seg) in tr.segs.iter().enumerate() {
+                    let mask = tr.prefix_mask(i);
+                    assert!(is_subset(&prev, mask), "{at}: prefix {i} not nested");
+                    assert!(is_subset(mask, trip), "{at}: prefix {i} outside trip");
+                    let (_, want) = after
+                        .iter()
+                        .find(|(l, _)| *l == seg.prefix_len)
+                        .expect("segment ends at a member boundary");
+                    assert_eq!(mask, &want[..], "{at}: prefix {i}");
+                    prev = mask.to_vec();
+                }
+                checked += 1;
+            }
+        }
+        assert!(checked > 0, "eager formation built no trace");
+    }
 }

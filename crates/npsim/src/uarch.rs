@@ -541,7 +541,7 @@ mod timing_tests {
             }),
             ..RunConfig::default()
         };
-        cpu.run(&mut mem, &config).unwrap().uarch.unwrap()
+        *cpu.run(&mut mem, &config).unwrap().uarch.unwrap()
     }
 
     fn no_penalties() -> TimingConfig {

@@ -104,6 +104,16 @@ impl BitSet {
         }
     }
 
+    /// ORs a raw word mask (bit `i` of word `w` is index `64 * w + i`)
+    /// into the set: the block engine folds precomputed coverage masks
+    /// this way. Words past the set's own are ignored.
+    #[inline]
+    pub(crate) fn or_words(&mut self, mask: &[u64]) {
+        for (a, b) in self.words.iter_mut().zip(mask) {
+            *a |= b;
+        }
+    }
+
     /// Iterates over set indices in increasing order.
     pub fn iter(&self) -> Iter<'_> {
         Iter {
