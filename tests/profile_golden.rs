@@ -8,9 +8,10 @@
 //!    metrics export's histogram section.
 //! 2. **Golden profile** — the IPv4-radix heat map + histograms over a
 //!    seeded MRA trace match a checked-in fixture
-//!    (`tests/golden/profile_radix_mra.txt`), so any change to the
-//!    simulator, block partition, disasm labels, trace generator, or
-//!    rendering shows up as a reviewable text diff.
+//!    (`tests/golden/profile_radix_mra.txt`), and so do its deterministic
+//!    JSON and Prometheus exports (`metrics_radix_mra.{json,prom}`), so
+//!    any change to the simulator, block partition, disasm labels, trace
+//!    generator, or rendering shows up as a reviewable text diff.
 //! 3. **Heat vs. analysis consistency** — the dynamic heat map agrees
 //!    with the analysis layer's per-packet block sets: a block is entered
 //!    at least as many times as packets that execute it, exactly the same
@@ -35,6 +36,10 @@ const GOLDEN_PROFILE: &str = concat!(
 const GOLDEN_METRICS: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/../../tests/golden/metrics_radix_mra.json"
+);
+const GOLDEN_PROM: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../tests/golden/metrics_radix_mra.prom"
 );
 
 /// The workload `pb profile radix MRA -n 40 --seed 42` runs: CI diffs
@@ -73,8 +78,13 @@ fn profile_render_matches_golden_fixture() {
 #[test]
 fn deterministic_metrics_json_matches_golden_fixture() {
     let result = run_profile(&radix_spec(1)).unwrap();
-    let json = result.metrics_doc(true).to_json();
-    check_golden(GOLDEN_METRICS, &json, "deterministic metrics JSON");
+    let doc = result.metrics_doc(true);
+    check_golden(GOLDEN_METRICS, &doc.to_json(), "deterministic metrics JSON");
+    check_golden(
+        GOLDEN_PROM,
+        &doc.to_prometheus(),
+        "deterministic metrics Prometheus text",
+    );
 }
 
 #[test]

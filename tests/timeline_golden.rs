@@ -8,8 +8,9 @@
 //!    streaming pipeline, and across chunk sizes.
 //! 2. **Golden timeline** — the deterministic JSON export over a seeded
 //!    40-packet radix/MRA trace (interval 8) matches a checked-in
-//!    fixture, so any change to the sampler, the logical bucketing, or
-//!    the serializer shows up as a reviewable diff.
+//!    fixture, and so does the CSV export, so any change to the sampler,
+//!    the logical bucketing, or the serializers shows up as a reviewable
+//!    diff.
 //! 3. **Wall timelines are structurally sound** — lanes are within
 //!    range, spans carry the stages the pipeline ran, and the Chrome
 //!    trace export stays balanced JSON.
@@ -25,7 +26,7 @@
 
 use nettrace::synth::{SyntheticTrace, TraceProfile};
 use nettrace::{Limited, Packet};
-use npobs::timeline::{Stage, TimelineSpec, TIMELINE_SCHEMA_VERSION};
+use npobs::timeline::{Stage, Timeline, TimelineSpec, TIMELINE_SCHEMA_VERSION};
 use npobs::Stamp;
 use packetbench::apps::AppId;
 use packetbench::engine::Engine;
@@ -35,6 +36,10 @@ use packetbench::stream::StreamConfig;
 const GOLDEN_TIMELINE: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/../../tests/golden/timeline_radix_mra.json"
+);
+const GOLDEN_TIMELINE_CSV: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../tests/golden/timeline_radix_mra.csv"
 );
 
 const PACKETS: usize = 40;
@@ -48,13 +53,18 @@ fn packets() -> Vec<Packet> {
     SyntheticTrace::new(TraceProfile::mra(), SEED).take_packets(PACKETS)
 }
 
-fn run_json(threads: usize) -> String {
-    let run = Engine::new(AppId::Ipv4Radix)
+fn run_timeline(threads: usize) -> Timeline {
+    Engine::new(AppId::Ipv4Radix)
         .timeline(Some(spec()))
         .run(&packets(), Detail::counts(), threads)
-        .unwrap();
+        .unwrap()
+        .timeline
+        .unwrap()
+}
+
+fn run_json(threads: usize) -> String {
     let stamp = Stamp::deterministic(TIMELINE_SCHEMA_VERSION);
-    run.timeline.unwrap().to_json(&stamp, "radix", "MRA")
+    run_timeline(threads).to_json(&stamp, "radix", "MRA")
 }
 
 fn stream_json(threads: usize, chunk_size: usize) -> String {
@@ -96,6 +106,9 @@ fn check_golden(path: &str, current: &str, what: &str) {
 #[test]
 fn deterministic_timeline_matches_golden_fixture() {
     check_golden(GOLDEN_TIMELINE, &run_json(1), "deterministic timeline JSON");
+    let stamp = Stamp::deterministic(TIMELINE_SCHEMA_VERSION);
+    let csv = run_timeline(1).to_csv(&stamp, "radix", "MRA");
+    check_golden(GOLDEN_TIMELINE_CSV, &csv, "deterministic timeline CSV");
 }
 
 #[test]
