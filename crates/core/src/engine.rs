@@ -50,11 +50,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use nettrace::Packet;
-use npobs::timeline::{
-    Counters, LogicalSeries, Sample, SpanLog, Stage, Timeline, TimelineSpec, WallSampler,
-};
+use npobs::timeline::{LogicalSeries, Sample, SpanLog, Stage, Timeline, TimelineSpec, WallSampler};
 use npobs::StatusLine;
-use npsim::{MemoCounters, NullObserver, Observer, TraceStats};
+use npsim::{NullObserver, Observer};
 
 use crate::apps::{App, AppId};
 use crate::config::WorkloadConfig;
@@ -94,55 +92,80 @@ pub(crate) fn resolve_threads(threads: usize) -> usize {
 }
 
 /// Shared counters the monitor thread reads to compose the progress and
-/// `--watch` lines. Workers bump them with `Relaxed` increments — they
-/// order nothing and exist only when monitoring is on.
-#[derive(Default)]
-pub(crate) struct MonitorCounters {
-    /// Packets fully processed so far.
-    processed: AtomicU64,
-    /// Memoization cache hits so far.
-    memo_hits: AtomicU64,
-    /// Memoization cache lookups (hits + misses) so far.
-    memo_lookups: AtomicU64,
-    /// Complete trace trips so far.
-    trace_hits: AtomicU64,
-    /// Mispredicted trace guards so far.
-    trace_exits: AtomicU64,
-    /// Packets dropped at ring ingestion so far (live mode only).
-    pub(crate) ring_dropped: AtomicU64,
+/// `--watch` lines: one atomic per [`WorkerMetrics`] column, summed over
+/// workers. Workers bump them with `Relaxed` increments — they order
+/// nothing and exist only when monitoring is on.
+pub(crate) struct MonitorCounters([AtomicU64; WorkerMetrics::COLUMNS.len()]);
+
+impl Default for MonitorCounters {
+    fn default() -> MonitorCounters {
+        MonitorCounters(std::array::from_fn(|_| AtomicU64::new(0)))
+    }
 }
 
 impl MonitorCounters {
-    /// The ` memo NN%` suffix for a status line, or empty before the
-    /// first cache lookup (memo off, or not warmed up yet).
-    fn memo_suffix(&self) -> String {
-        let lookups = self.memo_lookups.load(Ordering::Relaxed);
-        if lookups == 0 {
-            return String::new();
+    /// Adds `delta` column by column.
+    pub(crate) fn add(&self, delta: &WorkerMetrics) {
+        for (sum, value) in self.0.iter().zip(delta.counters()) {
+            if value > 0 {
+                sum.fetch_add(value, Ordering::Relaxed);
+            }
         }
-        let hits = self.memo_hits.load(Ordering::Relaxed);
-        format!(" memo {:.0}%", hits as f64 / lookups as f64 * 100.0)
     }
 
-    /// The ` trace NN/NN` (trips/guard-exits) suffix for a status line,
-    /// or empty until the first complete trip.
-    fn trace_suffix(&self) -> String {
-        let hits = self.trace_hits.load(Ordering::Relaxed);
-        if hits == 0 {
-            return String::new();
+    /// Adds what `now` gained over `seen`, then records `now` as seen.
+    fn publish(&self, now: &WorkerMetrics, seen: &mut WorkerMetrics) {
+        let columns = self.0.iter().zip(now.counters()).zip(seen.counters_mut());
+        for ((sum, value), last) in columns {
+            if value > *last {
+                sum.fetch_add(value - *last, Ordering::Relaxed);
+                *last = value;
+            }
         }
-        let exits = self.trace_exits.load(Ordering::Relaxed);
-        format!(" trace {hits}/{exits}")
     }
 
-    /// The ` dropped N` suffix for a status line, or empty until a live
-    /// ring drops a packet (never, in batch and stream modes).
-    fn drop_suffix(&self) -> String {
-        match self.ring_dropped.load(Ordering::Relaxed) {
-            0 => String::new(),
-            dropped => format!(" dropped {dropped}"),
+    /// The sums so far.
+    fn snapshot(&self) -> WorkerMetrics {
+        let mut row = WorkerMetrics::default();
+        for (value, sum) in row.counters_mut().into_iter().zip(&self.0) {
+            *value = sum.load(Ordering::Relaxed);
         }
+        row
     }
+}
+
+/// The status-line suffixes for a monitor snapshot: ` memo NN%` once the
+/// memo has been looked up, ` trace NN/NN` (trips/guard exits) once a
+/// trace completed, and ` dropped N` once a live ring dropped a packet.
+fn watch_suffixes(now: &WorkerMetrics) -> (String, String, String) {
+    let memo = match now.memo_hits + now.memo_misses {
+        0 => String::new(),
+        n => format!(" memo {:.0}%", now.memo_hits as f64 / n as f64 * 100.0),
+    };
+    let trace = match now.trace_hits {
+        0 => String::new(),
+        hits => format!(" trace {hits}/{}", now.trace_guard_exits),
+    };
+    let drops = match now.ring_dropped {
+        0 => String::new(),
+        dropped => format!(" dropped {dropped}"),
+    };
+    (memo, trace, drops)
+}
+
+/// Reads a bench's engine counters — memo traffic, superblock bail-outs
+/// and trace-cache activity — into their columns of `row`.
+fn read_bench(bench: &PacketBench, row: &mut WorkerMetrics) {
+    let memo = bench.memo_counters();
+    let trace = bench.trace_stats();
+    row.memo_hits = memo.hits;
+    row.memo_misses = memo.misses;
+    row.memo_evictions = memo.evictions;
+    row.block_bailouts = bench.block_bailouts();
+    row.traces_formed = trace.formed;
+    row.trace_hits = trace.hits;
+    row.trace_guard_exits = trace.guard_exits;
+    row.trace_declines = trace.declines;
 }
 
 /// A parallel (or serial) runner for one application over a packet trace.
@@ -299,18 +322,17 @@ impl Engine {
             let monitor = scope.spawn(|| {
                 while !done.load(Ordering::Acquire) {
                     std::thread::park_timeout(PROGRESS_INTERVAL);
-                    let n = counters.processed.load(Ordering::Relaxed);
-                    if done.load(Ordering::Acquire) || n == 0 {
+                    let now = counters.snapshot();
+                    if done.load(Ordering::Acquire) || now.packets == 0 {
                         continue;
                     }
-                    let drops = counters.drop_suffix();
+                    let text = line(now.packets);
+                    let (memo, trace, drops) = watch_suffixes(&now);
                     if self.watch {
-                        let pps = n as f64 / start.elapsed().as_secs_f64().max(1e-9);
-                        let memo = counters.memo_suffix();
-                        let trace = counters.trace_suffix();
-                        status.refresh(&format!("{} {pps:.0} pps{memo}{trace}{drops}", line(n)));
+                        let pps = now.packets as f64 / start.elapsed().as_secs_f64().max(1e-9);
+                        status.refresh(&format!("{text} {pps:.0} pps{memo}{trace}{drops}"));
                     } else {
-                        status.emit(&format!("{}{drops}", line(n)));
+                        status.emit(&format!("{text}{drops}"));
                     }
                 }
                 if self.watch {
@@ -509,16 +531,16 @@ struct BatchShard<O> {
 /// [`WorkerCore::end`], so busy time is never a clock read per packet.
 pub(crate) struct WorkerCore<'a, O = NullObserver> {
     engine: &'a Engine,
-    worker: usize,
     detail: Detail,
     bench: Option<PacketBench>,
     obs: O,
     probe: Option<LaneProbe>,
     monitor: Option<&'a MonitorCounters>,
-    last_memo: MemoCounters,
-    last_trace: TraceStats,
-    packets: u64,
-    busy_ns: u64,
+    /// The worker's row: index, packets and busy time as they accrue;
+    /// the rest is filled in by [`WorkerCore::finish`].
+    stat: WorkerMetrics,
+    /// What the monitor has been sent of this worker's row so far.
+    published: WorkerMetrics,
     busy_start: Instant,
 }
 
@@ -535,7 +557,6 @@ impl<'a, O: Observer> WorkerCore<'a, O> {
     ) -> Self {
         WorkerCore {
             engine,
-            worker,
             detail,
             bench: None,
             obs,
@@ -543,10 +564,11 @@ impl<'a, O: Observer> WorkerCore<'a, O> {
                 .timeline
                 .map(|spec| LaneProbe::new(LaneTelemetry::new(spec, worker, run_start))),
             monitor,
-            last_memo: MemoCounters::default(),
-            last_trace: TraceStats::default(),
-            packets: 0,
-            busy_ns: 0,
+            stat: WorkerMetrics {
+                worker,
+                ..WorkerMetrics::default()
+            },
+            published: WorkerMetrics::default(),
             busy_start: run_start,
         }
     }
@@ -559,7 +581,7 @@ impl<'a, O: Observer> WorkerCore<'a, O> {
 
     /// Ends the busy stretch [`WorkerCore::begin`] started.
     pub(crate) fn end(&mut self) {
-        self.busy_ns += nanos(self.busy_start.elapsed());
+        self.stat.busy_ns += nanos(self.busy_start.elapsed());
     }
 
     /// Records an execution span on the lane's wall-clock log.
@@ -595,31 +617,15 @@ impl<'a, O: Observer> WorkerCore<'a, O> {
         if self.engine.verify {
             bench.verify_record(packet, record)?;
         }
-        self.packets += 1;
+        self.stat.packets += 1;
         if let Some(probe) = &mut self.probe {
-            let busy = (self.busy_ns, self.busy_start);
+            let busy = (self.stat.busy_ns, self.busy_start);
             probe.observe(index, record, bench, busy, backlog);
         }
-        if let Some(counters) = self.monitor {
-            counters.processed.fetch_add(1, Ordering::Relaxed);
-            let memo = bench.memo_counters();
-            let lookups = (memo.hits + memo.misses) - (self.last_memo.hits + self.last_memo.misses);
-            if lookups > 0 {
-                let hits = memo.hits - self.last_memo.hits;
-                counters.memo_hits.fetch_add(hits, Ordering::Relaxed);
-                counters.memo_lookups.fetch_add(lookups, Ordering::Relaxed);
-            }
-            let trace = bench.trace_stats();
-            let trips = trace.hits - self.last_trace.hits;
-            let exits = trace.guard_exits - self.last_trace.guard_exits;
-            if trips > 0 {
-                counters.trace_hits.fetch_add(trips, Ordering::Relaxed);
-            }
-            if exits > 0 {
-                counters.trace_exits.fetch_add(exits, Ordering::Relaxed);
-            }
-            self.last_memo = memo;
-            self.last_trace = trace;
+        if let Some(monitor) = self.monitor {
+            let mut now = self.stat.clone();
+            read_bench(bench, &mut now);
+            monitor.publish(&now, &mut self.published);
         }
         Ok(bench)
     }
@@ -635,30 +641,16 @@ impl<'a, O: Observer> WorkerCore<'a, O> {
     /// Closes the worker into its metrics (`idle_ns` is settled by
     /// [`Engine::close_run`]), its timeline lane, and its observer.
     pub(crate) fn finish(
-        self,
+        mut self,
         queue_depth: u64,
         ring_dropped: u64,
     ) -> (WorkerMetrics, Option<LaneTelemetry>, O) {
-        let bench = self.bench.as_ref();
-        let memo = bench.map(PacketBench::memo_counters).unwrap_or_default();
-        let trace = bench.map(PacketBench::trace_stats).unwrap_or_default();
-        let metrics = WorkerMetrics {
-            worker: self.worker,
-            packets: self.packets,
-            busy_ns: self.busy_ns,
-            idle_ns: 0,
-            queue_depth,
-            memo_hits: memo.hits,
-            memo_misses: memo.misses,
-            memo_evictions: memo.evictions,
-            block_bailouts: bench.map_or(0, PacketBench::block_bailouts),
-            traces_formed: trace.formed,
-            trace_hits: trace.hits,
-            trace_guard_exits: trace.guard_exits,
-            trace_declines: trace.declines,
-            ring_dropped,
-        };
-        (metrics, self.probe.map(|probe| probe.lane), self.obs)
+        if let Some(bench) = &self.bench {
+            read_bench(bench, &mut self.stat);
+        }
+        self.stat.queue_depth = queue_depth;
+        self.stat.ring_dropped = ring_dropped;
+        (self.stat, self.probe.map(|probe| probe.lane), self.obs)
     }
 
     /// The batch transport's worker loop: the shard's packets in trace
@@ -685,7 +677,7 @@ impl<'a, O: Observer> WorkerCore<'a, O> {
             }
         }
         self.end();
-        self.exec_span(self.worker as u64, began, queued);
+        self.exec_span(self.stat.worker as u64, began, queued);
         let (metrics, lane, obs) = self.finish(queued, 0);
         Ok(BatchShard {
             records,
@@ -737,13 +729,11 @@ impl LaneTelemetry {
     }
 }
 
-/// A worker lane's timeline state: the lane plus cumulative counters and
-/// the bail-out watermark for logical deltas.
+/// A worker lane's timeline state: the lane plus its cumulative packet
+/// counters and the bail-out watermark for logical deltas.
 struct LaneProbe {
     lane: LaneTelemetry,
-    instructions: u64,
-    mem_packet: u64,
-    mem_non_packet: u64,
+    cum: Sample,
     last_bailouts: u64,
 }
 
@@ -751,9 +741,7 @@ impl LaneProbe {
     fn new(lane: LaneTelemetry) -> LaneProbe {
         LaneProbe {
             lane,
-            instructions: 0,
-            mem_packet: 0,
-            mem_non_packet: 0,
+            cum: Sample::default(),
             last_bailouts: 0,
         }
     }
@@ -772,42 +760,38 @@ impl LaneProbe {
         busy: (u64, Instant),
         backlog: impl FnOnce() -> (u64, u64),
     ) {
-        let bailouts = bench.block_bailouts();
-        let bail_delta = bailouts - self.last_bailouts;
-        self.last_bailouts = bailouts;
-        self.instructions += record.stats.instret;
-        self.mem_packet += record.stats.mem.packet_total();
-        self.mem_non_packet += record.stats.mem.non_packet_total();
+        let delta = Sample {
+            packets: 1,
+            instructions: record.stats.instret,
+            mem_packet: record.stats.mem.packet_total(),
+            mem_non_packet: record.stats.mem.non_packet_total(),
+            ..Sample::default()
+        };
         match &mut self.lane {
             LaneTelemetry::Logical(series) => {
+                let bailouts = bench.block_bailouts();
+                let block_bailouts = bailouts - self.last_bailouts;
+                self.last_bailouts = bailouts;
                 series.record(
                     index,
-                    &Counters {
-                        packets: 1,
-                        instructions: record.stats.instret,
-                        mem_packet: record.stats.mem.packet_total(),
-                        mem_non_packet: record.stats.mem.non_packet_total(),
-                        block_bailouts: bail_delta,
+                    &Sample {
+                        block_bailouts,
+                        ..delta
                     },
                 );
             }
             LaneTelemetry::Wall(sampler, _) => {
+                self.cum.add(&delta);
                 if sampler.on_packet() {
-                    let memo = bench.memo_counters();
-                    let (queue_depth, ring_dropped) = backlog();
-                    sampler.push(Sample {
-                        instructions: self.instructions,
-                        mem_packet: self.mem_packet,
-                        mem_non_packet: self.mem_non_packet,
-                        queue_depth,
-                        busy_ns: busy.0 + nanos(busy.1.elapsed()),
-                        memo_hits: memo.hits,
-                        memo_misses: memo.misses,
-                        memo_evictions: memo.evictions,
-                        block_bailouts: bailouts,
-                        ring_dropped,
-                        ..Sample::default()
-                    });
+                    // The bench's counters are cumulative: sample them as
+                    // they stand, under the columns both tables share.
+                    let mut row = WorkerMetrics::default();
+                    read_bench(bench, &mut row);
+                    let mut sample = self.cum;
+                    sample.copy_matching(row.named());
+                    (sample.queue_depth, sample.ring_dropped) = backlog();
+                    sample.busy_ns = busy.0 + nanos(busy.1.elapsed());
+                    sampler.push(sample);
                 }
             }
         }
@@ -1133,16 +1117,16 @@ mod tests {
             core.step(i as u64, packet, &mut record, || (0, 0)).unwrap();
         }
         let (metrics, _, _) = core.finish(300, 0);
-        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        assert_eq!(load(&counters.processed), 300);
-        assert_eq!(load(&counters.memo_hits), metrics.memo_hits);
+        let sums = counters.snapshot();
+        assert_eq!(sums.packets, 300);
+        assert_eq!(sums.memo_hits, metrics.memo_hits);
         assert_eq!(
-            load(&counters.memo_lookups),
+            sums.memo_hits + sums.memo_misses,
             metrics.memo_hits + metrics.memo_misses
         );
         assert!(metrics.memo_hits > 0, "the zipf trace repeats flows");
         assert!(metrics.trace_hits > 0, "the misses ran formed traces");
-        assert_eq!(load(&counters.trace_hits), metrics.trace_hits);
-        assert_eq!(load(&counters.trace_exits), metrics.trace_guard_exits);
+        assert_eq!(sums.trace_hits, metrics.trace_hits);
+        assert_eq!(sums.trace_guard_exits, metrics.trace_guard_exits);
     }
 }

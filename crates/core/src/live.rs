@@ -321,9 +321,10 @@ impl Engine {
                                         };
                                         if !accepted {
                                             if let Some(counters) = monitor {
-                                                counters
-                                                    .ring_dropped
-                                                    .fetch_add(1, Ordering::Relaxed);
+                                                counters.add(&WorkerMetrics {
+                                                    ring_dropped: 1,
+                                                    ..WorkerMetrics::default()
+                                                });
                                             }
                                         }
                                         global += 1;

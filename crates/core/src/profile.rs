@@ -186,8 +186,9 @@ impl ProfileResult {
     }
 
     /// Builds the exportable metrics document. With `deterministic`, the
-    /// stamp is pinned and every wall-clock field (run, merge, per-worker
-    /// busy/idle) is zeroed so CI can byte-diff the export; packet,
+    /// stamp is pinned and every wall-clock field (run, merge, and the
+    /// per-worker `Clock::Wall` columns) is zeroed so CI can byte-diff
+    /// the export; packet,
     /// queue-depth, and memoization counts stay real (they are pure
     /// functions of the trace and sharding).
     pub fn metrics_doc(&self, deterministic: bool) -> MetricsDoc {
@@ -196,6 +197,14 @@ impl ProfileResult {
         } else {
             Stamp::new(METRICS_SCHEMA_VERSION)
         };
+        // Packet, queue-depth, memo, bail-out and trace-cache counts are a
+        // pure function of the trace and sharding (memo hits skip
+        // simulation and add no bail-outs), so they stay real in
+        // deterministic mode; only the table's wall-clock columns zero.
+        let mut workers = self.run.workers.clone();
+        if deterministic {
+            workers.iter_mut().for_each(WorkerMetrics::zero_wall);
+        }
         MetricsDoc {
             stamp,
             app: self.app.slug().to_string(),
@@ -213,20 +222,7 @@ impl ProfileResult {
                 nanos(self.run.merge)
             },
             hists: self.hists.clone(),
-            // Packet, queue-depth, memo, bail-out and trace-cache counts
-            // are a pure function of the trace and sharding (memo hits
-            // skip simulation and add no bail-outs), so they stay real
-            // in deterministic mode; only the wall-clock fields zero.
-            workers: self
-                .run
-                .workers
-                .iter()
-                .map(|w| WorkerMetrics {
-                    busy_ns: if deterministic { 0 } else { w.busy_ns },
-                    idle_ns: if deterministic { 0 } else { w.idle_ns },
-                    ..w.clone()
-                })
-                .collect(),
+            workers,
             // Batch profiling has no ingestion ring; `pb live` builds
             // its own MetricsDoc with the ring section filled.
             ring: None,

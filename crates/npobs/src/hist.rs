@@ -84,6 +84,11 @@ impl Log2Histogram {
         (self.count > 0).then_some(self.max)
     }
 
+    /// The exact sum of every sample.
+    pub fn sum(&self) -> u128 {
+        self.sum
+    }
+
     /// The exact mean (0 when empty).
     pub fn mean(&self) -> f64 {
         if self.count == 0 {

@@ -14,6 +14,8 @@
 //!   entered and how many instructions retire inside it. [`BlockHeat`]
 //!   renders the result as a table or flamegraph-collapsed text keyed by
 //!   the same `L<n>` labels `pb disasm` shows;
+//! * [`counters`] — the counter tables: each per-worker and per-sample
+//!   counter declared once, with the columns every sink derives from;
 //! * [`export`] — a metrics document with JSON and Prometheus
 //!   text-format serializers;
 //! * [`timeline`] — an in-flight telemetry sampler: per-lane bounded
@@ -31,6 +33,7 @@
 //! interpreter loops, so the no-op observer compiles to exactly the
 //! uninstrumented loops (guarded by the throughput benchmark).
 
+pub mod counters;
 pub mod export;
 pub mod heat;
 pub mod hist;
@@ -44,5 +47,5 @@ pub use hist::{Log2Histogram, PacketHists};
 pub use stamp::Stamp;
 pub use status::StatusLine;
 pub use timeline::{
-    Counters, LogicalSeries, Sample, Span, SpanLog, Stage, Timeline, TimelineSpec, WallSampler,
+    LogicalSeries, Sample, Span, SpanLog, Stage, Timeline, TimelineSpec, WallSampler,
 };

@@ -32,6 +32,8 @@ use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::time::Instant;
 
+pub use crate::counters::Sample;
+use crate::export::json_array;
 use crate::stamp::Stamp;
 
 /// Version of the timeline-document JSON/CSV layout.
@@ -91,77 +93,6 @@ impl TimelineSpec {
 impl Default for TimelineSpec {
     fn default() -> TimelineSpec {
         TimelineSpec::wall()
-    }
-}
-
-/// One timestamped counter snapshot from one lane. Counters are
-/// cumulative for the lane (rates are derived at export time), so a
-/// dropped sample never corrupts later ones.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Sample {
-    /// Wall nanoseconds since run start, or packets retired in global
-    /// trace order for deterministic timelines.
-    pub t: u64,
-    /// The lane that recorded the sample (see [`Timeline::lane_name`]).
-    pub lane: usize,
-    /// Packets retired by this lane so far (globally, for deterministic
-    /// samples).
-    pub packets: u64,
-    /// Instructions retired by this lane so far.
-    pub instructions: u64,
-    /// Accesses to packet memory so far.
-    pub mem_packet: u64,
-    /// Accesses to non-packet memory so far.
-    pub mem_non_packet: u64,
-    /// Items currently queued to the lane (packets left in a batch
-    /// worker's shard; chunks waiting in a stream worker's input queue;
-    /// in-flight chunks for the reader). Zero in deterministic samples.
-    pub queue_depth: u64,
-    /// Nanoseconds this lane has spent executing packets so far. Zero in
-    /// deterministic samples.
-    pub busy_ns: u64,
-    /// Nanoseconds the lane has spent blocked on backpressure (the
-    /// reader's semaphore wait) so far. Zero in deterministic samples.
-    pub backpressure_ns: u64,
-    /// Flow-memoization cache hits so far. Zero in deterministic samples
-    /// (per-worker caches make hits thread-count-dependent).
-    pub memo_hits: u64,
-    /// Flow-memoization cache misses so far. Zero in deterministic
-    /// samples.
-    pub memo_misses: u64,
-    /// Flow-memoization cache evictions so far. Zero in deterministic
-    /// samples.
-    pub memo_evictions: u64,
-    /// Superblock-engine bail-outs to the per-instruction loop so far.
-    pub block_bailouts: u64,
-    /// Packets dropped at the lane's ingestion ring so far (`pb live`
-    /// overload). Zero outside live mode and in deterministic samples —
-    /// drops are a timing artifact, so logical timelines exclude them.
-    pub ring_dropped: u64,
-}
-
-/// Per-packet counter deltas folded into a [`LogicalSeries`] bucket.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counters {
-    /// Packets retired.
-    pub packets: u64,
-    /// Instructions retired.
-    pub instructions: u64,
-    /// Packet-memory accesses.
-    pub mem_packet: u64,
-    /// Non-packet-memory accesses.
-    pub mem_non_packet: u64,
-    /// Superblock bail-outs.
-    pub block_bailouts: u64,
-}
-
-impl Counters {
-    fn add(&mut self, other: &Counters) {
-        self.packets += other.packets;
-        self.instructions += other.instructions;
-        self.mem_packet += other.mem_packet;
-        self.mem_non_packet += other.mem_non_packet;
-        self.block_bailouts += other.block_bailouts;
     }
 }
 
@@ -352,7 +283,7 @@ impl WallSampler {
 pub struct LogicalSeries {
     interval: u64,
     capacity: usize,
-    buckets: Vec<Counters>,
+    buckets: Vec<Sample>,
 }
 
 impl LogicalSeries {
@@ -366,17 +297,17 @@ impl LogicalSeries {
         }
     }
 
-    /// Folds one packet's deltas into the bucket owning global trace
-    /// index `index`.
+    /// Folds one packet's deltas (its deterministic [`Sample`] columns)
+    /// into the bucket owning global trace index `index`.
     #[inline]
-    pub fn record(&mut self, index: u64, delta: &Counters) {
+    pub fn record(&mut self, index: u64, delta: &Sample) {
         let mut bucket = (index / self.interval) as usize;
         while bucket >= self.capacity {
             self.coarsen();
             bucket = (index / self.interval) as usize;
         }
         if bucket >= self.buckets.len() {
-            self.buckets.resize(bucket + 1, Counters::default());
+            self.buckets.resize(bucket + 1, Sample::default());
         }
         self.buckets[bucket].add(delta);
     }
@@ -414,8 +345,7 @@ impl LogicalSeries {
         self.rescale_to(interval);
         other.rescale_to(interval);
         if other.buckets.len() > self.buckets.len() {
-            self.buckets
-                .resize(other.buckets.len(), Counters::default());
+            self.buckets.resize(other.buckets.len(), Sample::default());
         }
         for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
             mine.add(theirs);
@@ -429,21 +359,19 @@ impl LogicalSeries {
 
     /// Renders the series as cumulative samples keyed on logical time
     /// (`t` = packets retired in trace order at the bucket boundary).
+    /// Wall-clock columns are zeroed: logical samples carry only what is
+    /// a pure function of the trace.
     fn into_samples(self) -> Vec<Sample> {
+        let mut cum = Sample::default();
         let mut out = Vec::with_capacity(self.buckets.len());
-        let mut cum = Counters::default();
         for bucket in &self.buckets {
             cum.add(bucket);
-            out.push(Sample {
+            let mut sample = Sample {
                 t: cum.packets,
-                lane: 0,
-                packets: cum.packets,
-                instructions: cum.instructions,
-                mem_packet: cum.mem_packet,
-                mem_non_packet: cum.mem_non_packet,
-                block_bailouts: cum.block_bailouts,
-                ..Sample::default()
-            });
+                ..cum
+            };
+            sample.zero_wall();
+            out.push(sample);
         }
         out
     }
@@ -547,6 +475,15 @@ impl Timeline {
         }
     }
 
+    /// The clock samples are keyed on: `logical` or `wall`.
+    fn clock(&self) -> &'static str {
+        if self.deterministic {
+            "logical"
+        } else {
+            "wall"
+        }
+    }
+
     /// Serializes the timeline as a stamped JSON document. Stable field
     /// order; equal timelines produce identical bytes.
     pub fn to_json(&self, stamp: &Stamp, app: &str, trace: &str) -> String {
@@ -555,55 +492,17 @@ impl Timeline {
         let _ = writeln!(out, "  {},", stamp.json_fields());
         let _ = writeln!(out, "  \"app\": \"{app}\",");
         let _ = writeln!(out, "  \"trace\": \"{trace}\",");
-        let _ = writeln!(
-            out,
-            "  \"clock\": \"{}\",",
-            if self.deterministic {
-                "logical"
-            } else {
-                "wall"
-            }
-        );
+        let _ = writeln!(out, "  \"clock\": \"{}\",", self.clock());
         let _ = writeln!(out, "  \"interval\": {},", self.interval);
         let _ = writeln!(out, "  \"workers\": {},", self.workers);
         let _ = writeln!(out, "  \"dropped_samples\": {},", self.dropped_samples);
         let _ = writeln!(out, "  \"dropped_spans\": {},", self.dropped_spans);
-        out.push_str("  \"samples\": [\n");
-        for (i, s) in self.samples.iter().enumerate() {
+        json_array(&mut out, "samples", &self.samples, Sample::write_json);
+        out.push_str(",\n");
+        json_array(&mut out, "spans", &self.spans, |s, out| {
             let _ = write!(
                 out,
-                "    {{\"t\": {}, \"lane\": {}, \"packets\": {}, \"instructions\": {}, \
-                 \"mem_packet\": {}, \"mem_non_packet\": {}, \"queue_depth\": {}, \
-                 \"busy_ns\": {}, \"backpressure_ns\": {}, \"memo_hits\": {}, \
-                 \"memo_misses\": {}, \"memo_evictions\": {}, \"block_bailouts\": {}, \
-                 \"ring_dropped\": {}}}",
-                s.t,
-                s.lane,
-                s.packets,
-                s.instructions,
-                s.mem_packet,
-                s.mem_non_packet,
-                s.queue_depth,
-                s.busy_ns,
-                s.backpressure_ns,
-                s.memo_hits,
-                s.memo_misses,
-                s.memo_evictions,
-                s.block_bailouts,
-                s.ring_dropped
-            );
-            out.push_str(if i + 1 == self.samples.len() {
-                "\n"
-            } else {
-                ",\n"
-            });
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"spans\": [\n");
-        for (i, s) in self.spans.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"stage\": \"{}\", \"id\": {}, \"lane\": {}, \"start_ns\": {}, \
+                "{{\"stage\": \"{}\", \"id\": {}, \"lane\": {}, \"start_ns\": {}, \
                  \"dur_ns\": {}, \"packets\": {}}}",
                 s.stage.name(),
                 s.id,
@@ -612,13 +511,8 @@ impl Timeline {
                 s.dur_ns,
                 s.packets
             );
-            out.push_str(if i + 1 == self.spans.len() {
-                "\n"
-            } else {
-                ",\n"
-            });
-        }
-        out.push_str("  ]\n}\n");
+        });
+        out.push_str("\n}\n");
         out
     }
 
@@ -635,41 +529,16 @@ impl Timeline {
             out,
             "# app={app} trace={trace} clock={} interval={} workers={} \
              dropped_samples={} spans={} dropped_spans={}",
-            if self.deterministic {
-                "logical"
-            } else {
-                "wall"
-            },
+            self.clock(),
             self.interval,
             self.workers,
             self.dropped_samples,
             self.spans.len(),
             self.dropped_spans
         );
-        out.push_str(
-            "t,lane,packets,instructions,mem_packet,mem_non_packet,queue_depth,\
-             busy_ns,backpressure_ns,memo_hits,memo_misses,memo_evictions,block_bailouts,\
-             ring_dropped\n",
-        );
+        out.push_str(&Sample::csv_header());
         for s in &self.samples {
-            let _ = writeln!(
-                out,
-                "{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-                s.t,
-                s.lane,
-                s.packets,
-                s.instructions,
-                s.mem_packet,
-                s.mem_non_packet,
-                s.queue_depth,
-                s.busy_ns,
-                s.backpressure_ns,
-                s.memo_hits,
-                s.memo_misses,
-                s.memo_evictions,
-                s.block_bailouts,
-                s.ring_dropped
-            );
+            s.write_csv(&mut out);
         }
         out
     }
@@ -758,56 +627,27 @@ impl Timeline {
                 }
                 _ => 0.0,
             };
-            push(
-                format!(
-                    "{{\"ph\": \"C\", \"pid\": 1, \"tid\": {}, \"name\": \"pps [{name}]\", \
-                     \"ts\": {ts}, \"args\": {{\"pps\": {pps:.0}}}}}",
+            let mut counter = |track: &str, arg: &str, value: String| {
+                let event = format!(
+                    "{{\"ph\": \"C\", \"pid\": 1, \"tid\": {}, \"name\": \"{track} [{name}]\", \
+                     \"ts\": {ts}, \"args\": {{\"{arg}\": {value}}}}}",
                     s.lane
-                ),
-                &mut out,
-            );
-            push(
-                format!(
-                    "{{\"ph\": \"C\", \"pid\": 1, \"tid\": {}, \"name\": \"queue [{name}]\", \
-                     \"ts\": {ts}, \"args\": {{\"depth\": {}}}}}",
-                    s.lane, s.queue_depth
-                ),
-                &mut out,
-            );
+                );
+                push(event, &mut out);
+            };
+            counter("pps", "pps", format!("{pps:.0}"));
+            counter("queue", "depth", s.queue_depth.to_string());
             if s.backpressure_ns > 0 {
-                push(
-                    format!(
-                        "{{\"ph\": \"C\", \"pid\": 1, \"tid\": {}, \
-                         \"name\": \"backpressure_ms [{name}]\", \"ts\": {ts}, \
-                         \"args\": {{\"ms\": {:.3}}}}}",
-                        s.lane,
-                        s.backpressure_ns as f64 / 1e6
-                    ),
-                    &mut out,
-                );
+                let ms = s.backpressure_ns as f64 / 1e6;
+                counter("backpressure_ms", "ms", format!("{ms:.3}"));
             }
-            if s.memo_hits + s.memo_misses > 0 {
-                push(
-                    format!(
-                        "{{\"ph\": \"C\", \"pid\": 1, \"tid\": {}, \
-                         \"name\": \"memo_hit_pct [{name}]\", \"ts\": {ts}, \
-                         \"args\": {{\"pct\": {:.1}}}}}",
-                        s.lane,
-                        s.memo_hits as f64 / (s.memo_hits + s.memo_misses) as f64 * 100.0
-                    ),
-                    &mut out,
-                );
+            let lookups = s.memo_hits + s.memo_misses;
+            if lookups > 0 {
+                let pct = s.memo_hits as f64 / lookups as f64 * 100.0;
+                counter("memo_hit_pct", "pct", format!("{pct:.1}"));
             }
             if s.block_bailouts > 0 {
-                push(
-                    format!(
-                        "{{\"ph\": \"C\", \"pid\": 1, \"tid\": {}, \
-                         \"name\": \"bailouts [{name}]\", \"ts\": {ts}, \
-                         \"args\": {{\"count\": {}}}}}",
-                        s.lane, s.block_bailouts
-                    ),
-                    &mut out,
-                );
+                counter("bailouts", "count", s.block_bailouts.to_string());
             }
             last[s.lane] = Some(s);
         }
@@ -836,13 +676,13 @@ mod tests {
         }
     }
 
-    fn one_packet(instructions: u64) -> Counters {
-        Counters {
+    fn one_packet(instructions: u64) -> Sample {
+        Sample {
             packets: 1,
             instructions,
             mem_packet: 2,
             mem_non_packet: 3,
-            block_bailouts: 0,
+            ..Sample::default()
         }
     }
 
@@ -991,6 +831,16 @@ mod tests {
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         let csv = t.to_csv(&stamp, "radix", "mra");
         assert!(csv.starts_with("# schema_version=2"));
+        // The full v2 column list, in export order: a new row changes it
+        // and must come with a schema bump.
+        assert_eq!(TIMELINE_SCHEMA_VERSION, 2);
+        assert_eq!(
+            csv.lines().nth(2),
+            Some(
+                "t,lane,packets,instructions,mem_packet,mem_non_packet,queue_depth,busy_ns,\
+                 backpressure_ns,memo_hits,memo_misses,memo_evictions,block_bailouts,ring_dropped"
+            )
+        );
         assert!(json.contains("\"ring_dropped\": 0"));
         // Header comment lines + column header + one row per sample.
         assert_eq!(csv.lines().count(), 3 + t.samples.len());
