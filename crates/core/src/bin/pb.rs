@@ -221,9 +221,10 @@ USAGE:
 are bit-identical at every thread count.
 
 `pb stream` processes a source in bounded memory: packets flow through
-fixed-capacity chunk queues (reader -> shard workers -> merger) and are
-folded into an online aggregate, so a multi-gigabyte trace streams in a
-few megabytes of RAM. The source is a pcap/tsh path or a synthetic spec
+fixed-capacity chunk queues (reader -> shard workers), each worker folds
+its packets into its own online aggregate, and the aggregates add up
+when the run ends, so a multi-gigabyte trace streams in a few megabytes
+of RAM. The source is a pcap/tsh path or a synthetic spec
 like `synth:mra:seed=42:packets=10000000`. The report on stdout is
 byte-identical to `pb run` over the same packets at any --threads and
 --chunk-size; timing goes to stderr.
@@ -681,6 +682,10 @@ fn cmd_live(args: &Args) -> Result<(), CliError> {
 
     let threads: usize = args.count_opt("threads")?;
     let ring: usize = args.count_opt("ring")?;
+    if ring.checked_next_power_of_two().is_none() {
+        let most = 1usize << (usize::BITS - 1);
+        return usage_err(format!("bad --ring value `{ring}` (at most {most} slots)"));
+    }
     let burst: usize = args.count_opt("burst")?;
     let loops: u64 = args.count_opt("loops")?;
     let rate = match args.options.get("rate") {

@@ -1,21 +1,34 @@
-//! The trace engine: one run-to-completion worker core shared by the
-//! batch, streaming and live transports, and the batch transport itself,
-//! which fans a packet trace over sharded workers and merges the results
-//! back into trace order.
+//! The trace engine: one run-to-completion driver shared by the batch,
+//! streaming and live modes.
 //!
-//! ## The worker core
+//! ## The driver
 //!
-//! Every mode runs the same per-packet step (`WorkerCore::step`):
-//! process the packet at its global trace index, optionally verify it
-//! against the golden model, fold it into the lane's timeline probe, and
-//! bump the shared progress counters. The core builds its private
-//! [`PacketBench`] on the first packet, with the engine's memo mode and
-//! trace parameters applied in one place, so idle workers cost nothing;
-//! and it finishes into [`WorkerMetrics`] in one place. The transports
-//! differ only in how packets reach a core: shard index lists
-//! ([`Engine::run`]), the bounded chunk queue ([`Engine::run_streaming`])
-//! or npring lanes ([`Engine::run_live`]). One monitor thread, one
-//! timeline assembly and one idle-time settlement serve all three.
+//! Every mode runs the same worker loop ([`WorkerCore::run`]): take a
+//! burst of `(global index, packet)` pairs from a [`Transport`], run each
+//! packet through the per-packet step (process it at its global trace
+//! index, optionally verify it against the golden model, fold it into the
+//! lane's timeline probe, bump the shared progress counters), keep it,
+//! and hand the burst back. The modes differ only in the transport — a
+//! batch shard's positions as one burst ([`Engine::run`]), a bounded
+//! chunk queue ([`Engine::run_streaming`]) or an npring lane
+//! ([`Engine::run_live`]) — and in what a worker keeps: `Engine::run`
+//! keeps every record, stream and live fold into the worker's own
+//! [`StreamAggregate`]. [`Engine::drive`] runs the workers on scoped
+//! threads and the source loop ([`Engine::read_source`]: the stream
+//! reader, the live producer) on the caller's, then merges the
+//! per-worker results after join, as one span on the merger lane. The
+//! core builds its private [`PacketBench`] on the
+//! first packet, with the engine's memo mode and trace parameters
+//! applied in one place, so idle workers cost nothing. One monitor
+//! thread, one timeline assembly and one idle-time settlement serve all
+//! three modes.
+//!
+//! ## Errors
+//!
+//! A run reports the failure with the lowest trace index, in every mode
+//! ([`Failure`]): workers skip only packets above the lowest failure so
+//! far and the source stops reading, so every packet below it still runs
+//! and the run fails where a serial run would have stopped.
 //!
 //! ## Determinism
 //!
@@ -29,15 +42,14 @@
 //!   packet's 5-tuple. Every flow that could share a hash chain lands on
 //!   the same worker, so each worker's chains evolve exactly as the
 //!   serial run's chains do and per-flow counts stay exact.
-//! * Workers process their packets in trace order and report their
-//!   records and tagged output packets; the engine reassembles them into
-//!   trace order, so records and output packets are independent of
-//!   scheduling. Output-packet timestamps come from the global trace
-//!   position ([`PacketBench::process_packet_at`]), not from worker-local
-//!   counters.
-//! * With one worker the same core runs inline on the caller's thread: no
-//!   worker thread is spawned, and nothing is reassembled because the
-//!   records are already in trace order.
+//! * Every transport delivers a worker's packets in trace order. Batch
+//!   reassembles records and tagged output packets into trace order;
+//!   stream and live folds are exact integer sums, so merging them in any
+//!   order gives the serial fold. Output-packet timestamps come from the
+//!   global trace position ([`PacketBench::process_packet_at`]), not from
+//!   worker-local counters.
+//! * With one worker nothing is reassembled: its records are already in
+//!   trace order.
 //!
 //! Known limits of parallel bit-identity (counts detail is always exact):
 //! with `Detail::uarch` the Flow Classification cache statistics can
@@ -46,14 +58,15 @@
 //! overflow ordering is per-worker. The default workloads do neither.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use nettrace::Packet;
-use npobs::timeline::{LogicalSeries, Sample, SpanLog, Stage, Timeline, TimelineSpec, WallSampler};
-use npobs::StatusLine;
+use nettrace::{Packet, PacketSource};
+use npobs::timeline::{LaneTelemetry, Sample, Stage, Timeline, TimelineSpec};
+use npobs::{MonitorCounters, PacketHists, StatusLine};
 use npsim::{NullObserver, Observer};
 
+use crate::analysis::StreamAggregate;
 use crate::apps::{App, AppId};
 use crate::config::WorkloadConfig;
 use crate::error::BenchError;
@@ -63,9 +76,6 @@ use crate::framework::{Detail, MemoMode, PacketBench, PacketRecord};
 /// per-worker record, so a run's workers drop into a
 /// [`npobs::MetricsDoc`] as they are.
 pub use npobs::export::WorkerStat as WorkerMetrics;
-
-/// How often the in-run progress line is refreshed.
-const PROGRESS_INTERVAL: Duration = Duration::from_millis(1000);
 
 /// A duration in whole nanoseconds, saturating at `u64::MAX`.
 pub(crate) fn nanos(d: Duration) -> u64 {
@@ -91,68 +101,6 @@ pub(crate) fn resolve_threads(threads: usize) -> usize {
     }
 }
 
-/// Shared counters the monitor thread reads to compose the progress and
-/// `--watch` lines: one atomic per [`WorkerMetrics`] column, summed over
-/// workers. Workers bump them with `Relaxed` increments — they order
-/// nothing and exist only when monitoring is on.
-pub(crate) struct MonitorCounters([AtomicU64; WorkerMetrics::COLUMNS.len()]);
-
-impl Default for MonitorCounters {
-    fn default() -> MonitorCounters {
-        MonitorCounters(std::array::from_fn(|_| AtomicU64::new(0)))
-    }
-}
-
-impl MonitorCounters {
-    /// Adds `delta` column by column.
-    pub(crate) fn add(&self, delta: &WorkerMetrics) {
-        for (sum, value) in self.0.iter().zip(delta.counters()) {
-            if value > 0 {
-                sum.fetch_add(value, Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Adds what `now` gained over `seen`, then records `now` as seen.
-    fn publish(&self, now: &WorkerMetrics, seen: &mut WorkerMetrics) {
-        let columns = self.0.iter().zip(now.counters()).zip(seen.counters_mut());
-        for ((sum, value), last) in columns {
-            if value > *last {
-                sum.fetch_add(value - *last, Ordering::Relaxed);
-                *last = value;
-            }
-        }
-    }
-
-    /// The sums so far.
-    fn snapshot(&self) -> WorkerMetrics {
-        let mut row = WorkerMetrics::default();
-        for (value, sum) in row.counters_mut().into_iter().zip(&self.0) {
-            *value = sum.load(Ordering::Relaxed);
-        }
-        row
-    }
-}
-
-/// The status-line suffixes for a monitor snapshot: ` memo NN%` once the
-/// memo has been looked up, ` trace NN/NN` (trips/guard exits) once a
-/// trace completed, and ` dropped N` once a live ring dropped a packet.
-fn watch_suffixes(now: &WorkerMetrics) -> (String, String, String) {
-    let memo = match now.memo_hits + now.memo_misses {
-        0 => String::new(),
-        n => format!(" memo {:.0}%", now.memo_hits as f64 / n as f64 * 100.0),
-    };
-    let trace = match now.trace_hits {
-        0 => String::new(),
-        hits => format!(" trace {hits}/{}", now.trace_guard_exits),
-    };
-    let drops = match now.ring_dropped {
-        0 => String::new(),
-        dropped => format!(" dropped {dropped}"),
-    };
-    (memo, trace, drops)
-}
-
 /// Reads a bench's engine counters — memo traffic, superblock bail-outs
 /// and trace-cache activity — into their columns of `row`.
 fn read_bench(bench: &PacketBench, row: &mut WorkerMetrics) {
@@ -167,6 +115,132 @@ fn read_bench(bench: &PacketBench, row: &mut WorkerMetrics) {
     row.trace_guard_exits = trace.guard_exits;
     row.trace_declines = trace.declines;
 }
+
+/// The lowest failing trace index of a run and its error, shared by the
+/// source loop and every worker. Workers skip packets above it and the
+/// source stops reading once it is set, so every packet below it still
+/// runs and the slot ends at the failure a serial run stops at. A source
+/// error enters at the index where the source failed.
+#[derive(Default)]
+pub(crate) struct Failure {
+    /// One past the lowest failing index; 0 while nothing failed.
+    bound: AtomicU64,
+    first: Mutex<Option<(u64, BenchError)>>,
+}
+
+impl Failure {
+    /// Records `error` at `index` unless a lower index already failed.
+    pub(crate) fn record(&self, index: u64, error: BenchError) {
+        let mut first = self.first.lock().expect("failure slot");
+        if first.as_ref().is_none_or(|&(i, _)| index < i) {
+            *first = Some((index, error));
+            self.bound.store(index + 1, Ordering::Relaxed);
+        }
+    }
+
+    /// Whether the packet at `index` lies above the lowest failure so far,
+    /// so its result no longer matters. `Relaxed`: a stale read only runs
+    /// a packet the error discards, and join orders the final slot.
+    pub(crate) fn above(&self, index: u64) -> bool {
+        let bound = self.bound.load(Ordering::Relaxed);
+        bound != 0 && index >= bound
+    }
+}
+
+/// How bursts of `(global index, packet)` reach a worker and go back: a
+/// batch shard (one burst), a stream chunk queue, or an npring lane.
+/// Indices ascend within a transport.
+pub(crate) trait Transport {
+    /// Waits for the next burst and returns its span id and length;
+    /// `None` once the input is closed and drained.
+    fn next_burst(&mut self) -> Option<(u64, usize)>;
+    /// The current burst's `i`-th packet and its global trace index.
+    fn packet(&self, i: usize) -> (u64, &Packet);
+    /// Hands the current burst back, run or skipped.
+    fn release(&mut self) {}
+    /// Items queued behind the current burst: chunks for a chunk queue,
+    /// packets for an npring lane.
+    fn queued(&self) -> u64 {
+        0
+    }
+    /// Packets the lane has dropped so far.
+    fn dropped(&self) -> u64 {
+        0
+    }
+}
+
+/// What a worker keeps of each packet it runs.
+pub(crate) trait Keep {
+    /// Makes room for a burst of `n` packets, on the worker's thread.
+    fn reserve(&mut self, _n: usize) {}
+    fn add(&mut self, index: u64, record: PacketRecord, bench: &mut PacketBench);
+}
+
+/// What [`Engine::run`] keeps: every record, and the emitted output
+/// packets tagged with the trace index that emitted them.
+struct Records(Vec<PacketRecord>, Vec<(usize, Vec<Packet>)>);
+
+impl Keep for Records {
+    fn reserve(&mut self, n: usize) {
+        // Reserved here, on the worker's thread: with the buffers
+        // allocated on the caller's thread, perfbench's `mra-light` ran
+        // about 15% slower on a 2-vCPU host.
+        self.0.reserve_exact(n);
+    }
+
+    fn add(&mut self, index: u64, record: PacketRecord, bench: &mut PacketBench) {
+        self.0.push(record);
+        let outs = bench.take_output_packets();
+        if !outs.is_empty() {
+            self.1.push((index as usize, outs));
+        }
+    }
+}
+
+/// The running fold stream and live keep: the aggregate, plus the
+/// per-packet histograms when a metrics export asks for them.
+#[derive(Default)]
+pub(crate) struct Fold {
+    pub(crate) aggregate: StreamAggregate,
+    pub(crate) hists: Option<PacketHists>,
+}
+
+impl Keep for Fold {
+    fn add(&mut self, _: u64, record: PacketRecord, bench: &mut PacketBench) {
+        self.aggregate.add_record(&record);
+        if let Some(hists) = &mut self.hists {
+            let blocks = bench.block_map().blocks_executed(&record.stats.executed);
+            hists.record(
+                record.stats.instret,
+                record.stats.mem.packet_total(),
+                record.stats.mem.non_packet_total(),
+                blocks.count() as u64,
+            );
+        }
+    }
+}
+
+impl Fold {
+    /// [`Engine::drive`]'s merge for stream and live: adds up the
+    /// workers' folds, and hands back their transports.
+    pub(crate) fn merged<T>(parts: Vec<(T, Fold, NullObserver)>) -> ((Fold, Vec<T>), u64) {
+        let mut sum = Fold::default();
+        let mut transports = Vec::with_capacity(parts.len());
+        for (transport, fold, _) in parts {
+            sum.aggregate.merge(&fold.aggregate);
+            if let Some(hists) = &fold.hists {
+                sum.hists.get_or_insert_default().merge(hists);
+            }
+            transports.push(transport);
+        }
+        let packets = sum.aggregate.packets();
+        ((sum, transports), packets)
+    }
+}
+
+/// A driven run: the caller's merge of the workers' results, the worker
+/// rows, and the timeline — or the run's lowest failure and its index.
+pub(crate) type Driven<R> = Result<(R, Vec<WorkerMetrics>, Option<Timeline>), (u64, BenchError)>;
 
 /// A parallel (or serial) runner for one application over a packet trace.
 #[derive(Debug, Clone)]
@@ -299,84 +373,136 @@ impl Engine {
         Ok(bench)
     }
 
-    /// Runs `body` on the caller's thread while a monitor thread redraws
-    /// the `--progress`/`--watch` status line about once a second.
-    /// `body` receives the shared counters, or `None` when neither is
-    /// on, so an unmonitored run spawns nothing and touches no atomic.
-    /// `line` renders the mode's progress text for `n` processed packets;
-    /// `--watch` appends packets/sec plus the memo and trace suffixes,
-    /// and a non-zero ring-drop count is appended either way.
-    pub(crate) fn monitored<R>(
+    /// Runs one worker per `(transport, keep, observer)` input to
+    /// completion, each on a scoped thread, while `feed` — the source
+    /// loop filling the transports, if the run has one — runs on the
+    /// caller's. With `--progress` or `--watch` a monitor thread redraws
+    /// the status line from `progress`'s text for `n` processed packets;
+    /// otherwise no monitor is spawned and no shared counter is touched.
+    ///
+    /// After join, `merge` folds the workers' results into the run's and
+    /// returns the packets it covers; it is timed as one span on the
+    /// merger lane. Every worker is charged the wall-clock time it was not
+    /// busy, and the timeline is assembled from every lane.
+    pub(crate) fn drive<T: Transport + Send, K: Keep + Send, O: Observer + Send, R>(
         &self,
         start: Instant,
-        line: impl Fn(u64) -> String + Sync,
-        body: impl FnOnce(Option<&MonitorCounters>) -> R,
-    ) -> R {
-        if !(self.progress || self.watch) {
-            return body(None);
-        }
-        let counters = MonitorCounters::default();
-        let done = AtomicBool::new(false);
-        let status = self.status.clone().unwrap_or_default();
-        std::thread::scope(|scope| {
-            let monitor = scope.spawn(|| {
-                while !done.load(Ordering::Acquire) {
-                    std::thread::park_timeout(PROGRESS_INTERVAL);
-                    let now = counters.snapshot();
-                    if done.load(Ordering::Acquire) || now.packets == 0 {
-                        continue;
-                    }
-                    let text = line(now.packets);
-                    let (memo, trace, drops) = watch_suffixes(&now);
-                    if self.watch {
-                        let pps = now.packets as f64 / start.elapsed().as_secs_f64().max(1e-9);
-                        status.refresh(&format!("{text} {pps:.0} pps{memo}{trace}{drops}"));
-                    } else {
-                        status.emit(&format!("{text}{drops}"));
-                    }
-                }
-                if self.watch {
-                    status.finish_refresh();
-                }
+        detail: Detail,
+        progress: impl Fn(u64) -> String + Sync,
+        inputs: Vec<(T, K, O)>,
+        feed: impl FnOnce(&Failure) -> Option<LaneTelemetry>,
+        merge: impl FnOnce(Vec<(T, K, O)>) -> (R, u64),
+    ) -> Driven<R> {
+        let threads = inputs.len();
+        let failure = &Failure::default();
+        let counters = (self.progress || self.watch).then(MonitorCounters::default);
+        let monitor = counters.as_ref();
+        let (done, progress) = (&AtomicBool::new(false), &progress);
+        let (workers, feed_lane) = std::thread::scope(|scope| {
+            let status = monitor.map(|counters| {
+                let status = self.status.clone().unwrap_or_default();
+                scope.spawn(move || counters.report(&status, self.watch, start, done, progress))
             });
-            let result = body(Some(&counters));
+            let spawned: Vec<_> = inputs
+                .into_iter()
+                .enumerate()
+                .map(|(w, (transport, keep, obs))| {
+                    let core = WorkerCore::new(self, w, detail, obs, monitor, start);
+                    scope.spawn(move || core.run(transport, keep, failure))
+                })
+                .collect();
+            let feed_lane = feed(failure);
+            let workers: Vec<_> = spawned
+                .into_iter()
+                .map(|h| h.join().expect("engine workers never panic"))
+                .collect();
             done.store(true, Ordering::Release);
-            monitor.thread().unpark();
-            result
-        })
+            status.inspect(|h| h.thread().unpark());
+            (workers, feed_lane)
+        });
+        if let Some(failed) = failure.first.lock().expect("failure slot").take() {
+            return Err(failed);
+        }
+        let mut rows = Vec::with_capacity(threads);
+        let mut lanes: Vec<_> = feed_lane.into_iter().collect();
+        let mut parts = Vec::with_capacity(threads);
+        for (row, lane, transport, keep, obs) in workers {
+            rows.push(row);
+            lanes.extend(lane);
+            parts.push((transport, keep, obs));
+        }
+        let merge_start = Instant::now();
+        let (merged, packets) = merge(parts);
+        if let Some(mut merger) = LaneTelemetry::wall(self.timeline, threads + 1, start) {
+            merger.span(Stage::Merge, 0, merge_start, packets);
+            lanes.push(merger);
+        }
+        let wall_ns = nanos(start.elapsed());
+        for row in &mut rows {
+            row.idle_ns = wall_ns.saturating_sub(row.busy_ns);
+        }
+        let timeline = self
+            .timeline
+            .map(|spec| Timeline::from_lanes(spec, threads, lanes));
+        Ok((merged, rows, timeline))
     }
 
-    /// Closes a run: charges each worker the wall-clock time it was not
-    /// busy, and assembles the timeline from every lane — the logical
-    /// series merge into one deterministic lane, or the wall-clock
-    /// samplers and span logs merge sorted by time.
-    pub(crate) fn close_run(
+    /// The source loop the stream reader and the live producer share:
+    /// `passes` passes over `open()`, each capped at `cap` packets. Each
+    /// packet gets its global trace index and its worker
+    /// ([`Engine::shard_of`]) and goes to `hand`, with the source lane.
+    /// Reading stops once a packet below the next index has failed; a
+    /// source error enters `failure` at the index where the source
+    /// failed. On wall-clock timelines the lane (index `threads`) samples
+    /// `sample()` and records one read span per pass.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn read_source<S: PacketSource>(
         &self,
         start: Instant,
         threads: usize,
-        workers: &mut [WorkerMetrics],
-        lanes: Vec<LaneTelemetry>,
-    ) -> Option<Timeline> {
-        let wall_ns = nanos(start.elapsed());
-        for w in workers {
-            w.idle_ns = wall_ns.saturating_sub(w.busy_ns);
+        (passes, cap): (u64, Option<u64>),
+        failure: &Failure,
+        mut open: impl FnMut() -> Result<S, BenchError>,
+        mut hand: impl FnMut(u64, usize, Packet, &mut Option<LaneTelemetry>),
+        sample: impl Fn() -> Sample,
+    ) -> Option<LaneTelemetry> {
+        let mut lane = LaneTelemetry::wall(self.timeline, threads, start);
+        let mut index = 0u64;
+        'read: for pass in 0..passes {
+            let (began, first) = (Instant::now(), index);
+            let mut source = match open() {
+                Ok(source) => source,
+                Err(error) => {
+                    failure.record(index, error);
+                    break;
+                }
+            };
+            while index - first < cap.unwrap_or(u64::MAX) {
+                if failure.above(index) {
+                    break 'read;
+                }
+                let packet = match source.next_packet() {
+                    Ok(Some(packet)) => packet,
+                    Ok(None) => break,
+                    Err(error) => {
+                        failure.record(index, error.into());
+                        break 'read;
+                    }
+                };
+                if let Some(LaneTelemetry::Wall(sampler, _)) = &mut lane {
+                    if sampler.on_packet() {
+                        sampler.push(sample());
+                    }
+                }
+                let shard = self.shard_of(index as usize, &packet, threads);
+                hand(index, shard, packet, &mut lane);
+                index += 1;
+            }
+            if let Some(lane) = &mut lane {
+                lane.span(Stage::Read, pass, began, index - first);
+            }
         }
-        let spec = self.timeline?;
-        if spec.deterministic {
-            let series = lanes.into_iter().filter_map(|lane| match lane {
-                LaneTelemetry::Logical(series) => Some(series),
-                LaneTelemetry::Wall(..) => None,
-            });
-            return Some(Timeline::from_logical(series.collect()));
-        }
-        let (samplers, logs) = lanes
-            .into_iter()
-            .filter_map(|lane| match lane {
-                LaneTelemetry::Wall(sampler, log) => Some((sampler, log)),
-                LaneTelemetry::Logical(_) => None,
-            })
-            .unzip();
-        Some(Timeline::from_wall(spec.interval, threads, samplers, logs))
+        lane
     }
 
     /// Runs `packets` on `threads` workers (0 = available parallelism)
@@ -418,117 +544,108 @@ impl Engine {
         O: Observer + Send,
         F: Fn() -> O + Sync,
     {
+        self.batch(packets, detail, threads, make_obs)
+            .map_err(|(_, e)| e)
+    }
+
+    /// [`Engine::run_observed`], failing with the failing packet's index.
+    pub(crate) fn batch<O: Observer + Send>(
+        &self,
+        packets: &[Packet],
+        detail: Detail,
+        threads: usize,
+        make_obs: impl Fn() -> O,
+    ) -> Result<(EngineRun, Vec<O>), (u64, BenchError)> {
         let threads = resolve_threads(threads).clamp(1, packets.len().max(1));
         let total = packets.len();
         let start = Instant::now();
-        // Each trace position's worker, and each worker's positions.
+        // Each trace position's worker, and each worker's positions; a
+        // single worker runs every position in order.
         let mut owner: Vec<usize> = Vec::new();
-        let mut shards: Vec<Vec<usize>> = Vec::new();
+        let mut shards: Vec<Vec<usize>> = vec![Vec::new(); threads];
+        if threads > 1 {
+            owner.reserve_exact(total);
+            for (i, packet) in packets.iter().enumerate() {
+                owner.push(self.shard_of(i, packet, threads));
+                shards[owner[i]].push(i);
+            }
+        }
+        let inputs = shards.iter().enumerate().map(|(w, positions)| {
+            let shard = Shard {
+                packets,
+                positions: (threads > 1).then_some(&positions[..]),
+                worker: w as u64,
+                taken: false,
+            };
+            (shard, Records(Vec::new(), Vec::new()), make_obs())
+        });
         let progress = |n: u64| {
             let pct = n as f64 / total.max(1) as f64 * 100.0;
             format!("pb: {n}/{total} packets ({pct:.1}%)")
         };
-        let outcomes = self.monitored(start, progress, |monitor| {
-            let core = |w| WorkerCore::new(self, w, detail, make_obs(), monitor, start);
-            if threads == 1 {
-                return vec![core(0).run_batch(packets, 0..total)];
+        let merge = |parts: Vec<(Shard, Records, O)>| {
+            let began = Instant::now();
+            let mut outputs = Vec::new();
+            let mut records = Vec::with_capacity(threads);
+            let mut observers = Vec::with_capacity(threads);
+            for (_, Records(kept, outs), obs) in parts {
+                records.push(kept.into_iter());
+                outputs.extend(outs);
+                observers.push(obs);
             }
-            shards = vec![Vec::new(); threads];
-            owner.reserve_exact(total);
-            for (i, packet) in packets.iter().enumerate() {
-                let w = self.shard_of(i, packet, threads);
-                owner.push(w);
-                shards[w].push(i);
-            }
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = shards
-                    .iter()
-                    .enumerate()
-                    .map(|(w, shard)| {
-                        let core = core(w);
-                        scope.spawn(move || core.run_batch(packets, shard.iter().copied()))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("engine workers never panic"))
-                    .collect::<Vec<_>>()
-            })
-        });
-
-        let mut failures = Vec::new();
-        let done: Vec<BatchShard<O>> = outcomes
-            .into_iter()
-            .filter_map(|outcome| outcome.map_err(|f| failures.push(f)).ok())
-            .collect();
-        if let Some((_, e)) = failures.into_iter().min_by_key(|&(i, _)| i) {
-            return Err(e);
-        }
-        let mut parts = Vec::with_capacity(threads);
-        let mut outputs = Vec::new();
-        let mut workers = Vec::with_capacity(threads);
-        let mut observers = Vec::with_capacity(threads);
-        let mut lanes = Vec::new();
-        for shard in done {
-            parts.push(shard.records);
-            outputs.extend(shard.outputs);
-            workers.push(shard.metrics);
-            observers.push(shard.obs);
-            lanes.extend(shard.lane);
-        }
-        let merge_start = Instant::now();
-        let records = if threads == 1 {
-            parts.pop().unwrap_or_default()
-        } else {
-            let mut parts: Vec<_> = parts.into_iter().map(Vec::into_iter).collect();
-            let records = owner
-                .iter()
-                .map(|&w| parts[w].next().expect("every packet produced a record"))
-                .collect();
-            outputs.sort_unstable_by_key(|&(i, _)| i);
-            // The trace-order reassembly is the engine's "merge" stage:
-            // one span on the merger lane.
-            if let Some(mut merger) = LaneTelemetry::wall(self.timeline, threads + 1, start) {
-                merger.span(Stage::Merge, 0, merge_start, total as u64);
-                lanes.push(merger);
-            }
-            records
+            let records = if threads == 1 {
+                records.pop().map(Iterator::collect).unwrap_or_default()
+            } else {
+                outputs.sort_unstable_by_key(|&(i, _)| i);
+                let next = |&w: &usize| records[w].next().expect("a record per packet");
+                owner.iter().map(next).collect()
+            };
+            let outputs = outputs.into_iter().flat_map(|(_, outs)| outs).collect();
+            ((records, outputs, observers, began.elapsed()), total as u64)
         };
-        let merge = merge_start.elapsed();
-        let output_packets = outputs.into_iter().flat_map(|(_, outs)| outs).collect();
-        let timeline = self.close_run(start, threads, &mut workers, lanes);
-        Ok((
-            EngineRun {
-                records,
-                output_packets,
-                threads,
-                elapsed: start.elapsed(),
-                merge,
-                workers,
-                timeline,
-            },
-            observers,
-        ))
+        let inputs = inputs.collect();
+        let driven = self.drive(start, detail, progress, inputs, |_| None, merge)?;
+        let ((records, output_packets, observers, merge), workers, timeline) = driven;
+        let run = EngineRun {
+            records,
+            output_packets,
+            threads,
+            elapsed: start.elapsed(),
+            merge,
+            workers,
+            timeline,
+        };
+        Ok((run, observers))
     }
 }
 
-/// One batch worker's share of a run, in its shard's trace order.
-struct BatchShard<O> {
-    records: Vec<PacketRecord>,
-    /// Emitted output packets, tagged with the trace index that emitted
-    /// them (only packets that emitted any).
-    outputs: Vec<(usize, Vec<Packet>)>,
-    metrics: WorkerMetrics,
-    lane: Option<LaneTelemetry>,
-    obs: O,
+/// A batch worker's input: its positions in the trace, as one burst.
+struct Shard<'p> {
+    packets: &'p [Packet],
+    /// The worker's positions; `None` for every position in order.
+    positions: Option<&'p [usize]>,
+    worker: u64,
+    taken: bool,
+}
+
+impl Transport for Shard<'_> {
+    fn next_burst(&mut self) -> Option<(u64, usize)> {
+        let len = self.positions.map_or(self.packets.len(), <[usize]>::len);
+        let first = !std::mem::replace(&mut self.taken, true);
+        first.then_some((self.worker, len))
+    }
+
+    fn packet(&self, i: usize) -> (u64, &Packet) {
+        let position = self.positions.map_or(i, |positions| positions[i]);
+        (position as u64, &self.packets[position])
+    }
 }
 
 /// One worker's run-to-completion core, shared by every transport: the
 /// lazily built [`PacketBench`], the lane's timeline probe, the progress
-/// watermarks, and the packet and busy counters. Transports feed it
-/// packets through [`WorkerCore::step`] and bracket their busy stretches
-/// (a whole shard, a chunk, a burst) with [`WorkerCore::begin`] and
-/// [`WorkerCore::end`], so busy time is never a clock read per packet.
+/// watermarks, and the packet and busy counters. [`WorkerCore::run`] is
+/// the worker loop; each burst is one busy stretch, so busy time is never
+/// a clock read per packet.
 pub(crate) struct WorkerCore<'a, O = NullObserver> {
     engine: &'a Engine,
     detail: Detail,
@@ -537,7 +654,7 @@ pub(crate) struct WorkerCore<'a, O = NullObserver> {
     probe: Option<LaneProbe>,
     monitor: Option<&'a MonitorCounters>,
     /// The worker's row: index, packets and busy time as they accrue;
-    /// the rest is filled in by [`WorkerCore::finish`].
+    /// the rest is filled in when the loop ends.
     stat: WorkerMetrics,
     /// What the monitor has been sent of this worker's row so far.
     published: WorkerMetrics,
@@ -573,42 +690,82 @@ impl<'a, O: Observer> WorkerCore<'a, O> {
         }
     }
 
-    /// Starts a busy stretch and returns its start, for the caller's span.
-    pub(crate) fn begin(&mut self) -> Instant {
-        self.busy_start = Instant::now();
-        self.busy_start
-    }
-
-    /// Ends the busy stretch [`WorkerCore::begin`] started.
-    pub(crate) fn end(&mut self) {
-        self.stat.busy_ns += nanos(self.busy_start.elapsed());
-    }
-
-    /// Records an execution span on the lane's wall-clock log.
-    pub(crate) fn exec_span(&mut self, id: u64, began: Instant, packets: u64) {
-        if let Some(probe) = &mut self.probe {
-            probe.lane.span(Stage::Exec, id, began, packets);
+    /// The worker loop: take bursts from `transport` until it closes, run
+    /// each packet through [`WorkerCore::step`] into `keep`, and hand the
+    /// burst back. Packets above the run's lowest failure are skipped but
+    /// still handed back; a failing packet enters `failure`. Emitted
+    /// output packets nobody keeps are dropped per burst. Returns the
+    /// worker's row (`idle_ns` is settled by [`Engine::drive`]), timeline
+    /// lane, transport, keep and observer.
+    #[allow(clippy::type_complexity)]
+    pub(crate) fn run<T: Transport, K: Keep>(
+        mut self,
+        mut transport: T,
+        mut keep: K,
+        failure: &Failure,
+    ) -> (WorkerMetrics, Option<LaneTelemetry>, T, K, O) {
+        let mut handed = 0;
+        while let Some((id, n)) = transport.next_burst() {
+            keep.reserve(n);
+            self.busy_start = Instant::now();
+            self.stat.ring_dropped = transport.dropped();
+            let mut ran = 0;
+            while ran < n {
+                let (index, packet) = transport.packet(ran);
+                if failure.above(index) {
+                    break;
+                }
+                let mut record = PacketRecord::empty();
+                let left = (n - ran - 1) as u64;
+                let backlog = || (left + transport.queued(), transport.dropped());
+                match self.step(index, packet, &mut record, backlog) {
+                    Ok(bench) => keep.add(index, record, bench),
+                    Err(error) => {
+                        failure.record(index, error);
+                        break;
+                    }
+                }
+                ran += 1;
+            }
+            if let Some(bench) = &mut self.bench {
+                bench.take_output_packets();
+            }
+            self.stat.busy_ns += nanos(self.busy_start.elapsed());
+            if let Some(probe) = &mut self.probe {
+                probe
+                    .lane
+                    .span(Stage::Exec, id, self.busy_start, ran as u64);
+            }
+            transport.release();
+            handed += n as u64;
         }
+        if let Some(bench) = &self.bench {
+            read_bench(bench, &mut self.stat);
+        }
+        self.stat.ring_dropped = transport.dropped();
+        self.stat.queue_depth = handed + self.stat.ring_dropped;
+        let lane = self.probe.map(|probe| probe.lane);
+        (self.stat, lane, transport, keep, self.obs)
     }
 
-    /// The per-packet step every transport runs: process the packet at
-    /// its global trace `index` (building the bench on first use),
-    /// verify it if asked, fold it into the timeline probe, and advance
-    /// the progress counters. `backlog` reports the lane's queue depth
-    /// and cumulative ring drops; it is only called when a wall-clock
-    /// sample is due. Returns the bench for transport-side folds.
+    /// The per-packet step: process the packet at its global trace
+    /// `index` (building the bench on first use), verify it if asked,
+    /// fold it into the timeline probe, and advance the progress
+    /// counters. `backlog` reports the lane's queue depth and cumulative
+    /// ring drops; it is only called when a wall-clock sample is due.
+    /// Returns the bench for the worker's keep.
     ///
     /// # Errors
     ///
     /// The bench build's error, or the packet's processing or
     /// verification error.
-    pub(crate) fn step(
+    fn step(
         &mut self,
         index: u64,
         packet: &Packet,
         record: &mut PacketRecord,
         backlog: impl FnOnce() -> (u64, u64),
-    ) -> Result<&PacketBench, BenchError> {
+    ) -> Result<&mut PacketBench, BenchError> {
         if self.bench.is_none() {
             self.bench = Some(self.engine.build_bench()?);
         }
@@ -628,104 +785,6 @@ impl<'a, O: Observer> WorkerCore<'a, O> {
             monitor.publish(&now, &mut self.published);
         }
         Ok(bench)
-    }
-
-    /// Removes the packets the application emitted since the last call.
-    pub(crate) fn take_outputs(&mut self) -> Vec<Packet> {
-        self.bench
-            .as_mut()
-            .map(PacketBench::take_output_packets)
-            .unwrap_or_default()
-    }
-
-    /// Closes the worker into its metrics (`idle_ns` is settled by
-    /// [`Engine::close_run`]), its timeline lane, and its observer.
-    pub(crate) fn finish(
-        mut self,
-        queue_depth: u64,
-        ring_dropped: u64,
-    ) -> (WorkerMetrics, Option<LaneTelemetry>, O) {
-        if let Some(bench) = &self.bench {
-            read_bench(bench, &mut self.stat);
-        }
-        self.stat.queue_depth = queue_depth;
-        self.stat.ring_dropped = ring_dropped;
-        (self.stat, self.probe.map(|probe| probe.lane), self.obs)
-    }
-
-    /// The batch transport's worker loop: the shard's packets in trace
-    /// order as one busy stretch, each record kept, output packets tagged
-    /// with their trace index.
-    fn run_batch(
-        mut self,
-        packets: &[Packet],
-        mut shard: impl ExactSizeIterator<Item = usize>,
-    ) -> Result<BatchShard<O>, (usize, BenchError)> {
-        let queued = shard.len() as u64;
-        let mut records = Vec::with_capacity(shard.len());
-        let mut outputs = Vec::new();
-        let began = self.begin();
-        while let Some(i) = shard.next() {
-            let remaining = shard.len() as u64;
-            let mut record = PacketRecord::empty();
-            self.step(i as u64, &packets[i], &mut record, || (remaining, 0))
-                .map_err(|e| (i, e))?;
-            records.push(record);
-            let outs = self.take_outputs();
-            if !outs.is_empty() {
-                outputs.push((i, outs));
-            }
-        }
-        self.end();
-        self.exec_span(self.stat.worker as u64, began, queued);
-        let (metrics, lane, obs) = self.finish(queued, 0);
-        Ok(BatchShard {
-            records,
-            outputs,
-            metrics,
-            lane,
-            obs,
-        })
-    }
-}
-
-/// One lane's in-flight telemetry: a wall-clock sampler plus span log, or
-/// a deterministic logical series. Built per lane, merged after join.
-pub(crate) enum LaneTelemetry {
-    Wall(WallSampler, SpanLog),
-    Logical(LogicalSeries),
-}
-
-impl LaneTelemetry {
-    fn new(spec: TimelineSpec, lane: usize, t0: Instant) -> LaneTelemetry {
-        if spec.deterministic {
-            LaneTelemetry::Logical(LogicalSeries::new(spec))
-        } else {
-            LaneTelemetry::Wall(
-                WallSampler::new(spec, lane, t0),
-                SpanLog::new(t0, spec.capacity),
-            )
-        }
-    }
-
-    /// A transport-side lane (reader, producer, merger): present on
-    /// wall-clock timelines only, since deterministic timelines sample
-    /// inside workers alone.
-    pub(crate) fn wall(
-        spec: Option<TimelineSpec>,
-        lane: usize,
-        t0: Instant,
-    ) -> Option<LaneTelemetry> {
-        spec.filter(|s| !s.deterministic)
-            .map(|s| LaneTelemetry::new(s, lane, t0))
-    }
-
-    /// Records a stage span on the lane's wall-clock log; logical lanes
-    /// keep no spans.
-    pub(crate) fn span(&mut self, stage: Stage, id: u64, began: Instant, packets: u64) {
-        if let LaneTelemetry::Wall(sampler, log) = self {
-            log.record(stage, id, sampler.lane(), began, packets);
-        }
     }
 }
 
@@ -967,6 +1026,73 @@ mod tests {
     }
 
     #[test]
+    fn every_mode_fails_at_the_lowest_failing_index() {
+        use crate::live::{LiveConfig, OnFull};
+        use crate::stream::StreamConfig;
+        use nettrace::pcap::PcapWriter;
+        // (threads, chunk size, chunks in flight, short packets, lowest).
+        // Two round-robin workers with chunks of 4: worker 0's chunk
+        // {0, 2, 4, 6} flushes before worker 1's {1, 3, 5, 7}, so a rule
+        // taking the first failure in flush order would report 6. With
+        // three workers, chunks of 2 and one chunk in flight, the reader
+        // waits for {0, 3} to fail at 3 before it dispatches {1, 4}, then
+        // stops with {2} still buffered: only a flush after the failure
+        // runs packet 2.
+        let cases = [(2, 4, 2, [5, 6], 5), (3, 2, 1, [2, 3], 2)];
+        for (threads, chunk_size, max_inflight, short, lowest) in cases {
+            let mut packets = trace(40, 17);
+            for i in short {
+                packets[i] = Packet::from_l3(nettrace::Timestamp::default(), vec![0x45; 8]);
+            }
+            let name = format!(
+                "pb_engine_lowest_failure_{}_{threads}.pcap",
+                std::process::id()
+            );
+            let path = std::env::temp_dir().join(name);
+            let file = std::fs::File::create(&path).unwrap();
+            let mut writer = PcapWriter::new(file, nettrace::LinkType::Raw, 65_535).unwrap();
+            for packet in &packets {
+                writer.write_packet(packet).unwrap();
+            }
+            writer.into_inner().unwrap();
+            let spec = npstream::SourceSpec::Pcap(path.clone());
+
+            let engine = Engine::new(AppId::Ipv4Radix);
+            let batch = engine.batch(&packets, Detail::counts(), threads, || NullObserver);
+            let config = StreamConfig {
+                threads,
+                chunk_size,
+                max_inflight,
+            };
+            let stream = engine.stream(spec.open().unwrap(), Detail::counts(), config);
+            let config = LiveConfig {
+                threads,
+                ring: 4,
+                on_full: OnFull::Wait,
+                ..LiveConfig::default()
+            };
+            let live = engine.live(&spec, Detail::counts(), config);
+            std::fs::remove_file(&path).unwrap();
+            let failed_at = |run: Option<(u64, BenchError)>| run.map(|(i, _)| i);
+            assert_eq!(
+                failed_at(batch.err()),
+                Some(lowest),
+                "batch, {threads} threads"
+            );
+            assert_eq!(
+                failed_at(stream.err()),
+                Some(lowest),
+                "stream, {threads} threads"
+            );
+            assert_eq!(
+                failed_at(live.err()),
+                Some(lowest),
+                "live, {threads} threads"
+            );
+        }
+    }
+
+    #[test]
     fn memo_on_matches_memo_off_at_every_thread_count() {
         use crate::framework::MemoMode;
         let packets: Vec<Packet> =
@@ -1104,7 +1230,7 @@ mod tests {
         let packets: Vec<Packet> =
             SyntheticTrace::new(TraceProfile::with_zipf(256, 80), 7).take_packets(300);
         let counters = MonitorCounters::default();
-        let mut core = WorkerCore::new(
+        let core = WorkerCore::new(
             &engine,
             0,
             Detail::counts(),
@@ -1112,11 +1238,13 @@ mod tests {
             Some(&counters),
             Instant::now(),
         );
-        for (i, packet) in packets.iter().enumerate() {
-            let mut record = PacketRecord::empty();
-            core.step(i as u64, packet, &mut record, || (0, 0)).unwrap();
-        }
-        let (metrics, _, _) = core.finish(300, 0);
+        let shard = Shard {
+            packets: &packets,
+            positions: None,
+            worker: 0,
+            taken: false,
+        };
+        let (metrics, ..) = core.run(shard, Fold::default(), &Failure::default());
         let sums = counters.snapshot();
         assert_eq!(sums.packets, 300);
         assert_eq!(sums.memo_hits, metrics.memo_hits);

@@ -7,16 +7,16 @@
 //! and an overloaded input queue **drops**. This module reproduces that
 //! regime on top of the `npring` subsystem:
 //!
-//! * one **producer** thread replays a [`SourceSpec`] — optionally paced
+//! * one **producer** thread runs the engine's source loop
+//!   ([`Engine::read_source`]) over a [`SourceSpec`] — optionally paced
 //!   to a target offered load ([`RateSpec`]) and optionally looping the
 //!   trace — and offers each packet to its worker's lock-free SPSC lane
 //!   ([`npring::lane`]): a zero-copy mbuf pool fronted by an in-ring and
 //!   a free-ring;
-//! * **workers** (one per lane) run to completion around the engine's
-//!   shared worker core (see [`crate::engine`]): burst-dequeue up to
-//!   [`MAX_BURST`] packet views, run each in place through the core's
-//!   per-packet step, and retire the burst's slots back to the
-//!   free-ring;
+//! * **workers** (one per lane) run the engine's worker loop (see
+//!   [`crate::engine`]): burst-dequeue up to [`MAX_BURST`] packet views,
+//!   run each in place, fold it into the worker's own aggregate, and
+//!   retire the burst's slots back to the free-ring;
 //! * when a lane's pool is exhausted the producer either counts the
 //!   packet **dropped** and moves on ([`OnFull::Drop`], the
 //!   run-to-completion default) or spins until a slot frees
@@ -40,7 +40,7 @@
 //! When `dropped == 0` (always under [`OnFull::Wait`]), the aggregate
 //! report equals the batch engine's for the same source, at any thread
 //! count: packets are sharded by the same rule ([`Engine::shard_of`] on
-//! the global trace position), processed by the same worker core with
+//! the global trace position), processed by the same worker loop with
 //! the same global-index clock
 //! ([`crate::framework::PacketBench::process_packet_at`]), delivered in
 //! order within each lane (SPSC FIFO), and folded with exact integer sums
@@ -52,22 +52,19 @@
 //! timelines sample logical per-packet deltas keyed on the global index
 //! and exclude `ring_dropped` entirely.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use nettrace::{Limited, PacketSource};
-use npobs::timeline::{Sample, Stage, Timeline};
+use nettrace::Packet;
+use npobs::timeline::{Sample, Timeline};
 use npobs::{Log2Histogram, PacketHists};
-use npring::{lane, LaneConsumer, Pacer, RateSpec, RingStats, MAX_BURST};
+use npring::{lane, LaneConsumer, LaneProducer, Pacer, RateSpec, RingStats, MAX_BURST};
 use npsim::NullObserver;
 use npstream::SourceSpec;
 
 use crate::analysis::StreamAggregate;
-use crate::engine::{per_sec, resolve_threads, Engine, LaneTelemetry, WorkerCore, WorkerMetrics};
+use crate::engine::{per_sec, resolve_threads, Engine, Failure, Fold, Transport, WorkerMetrics};
 use crate::error::BenchError;
-use crate::framework::{Detail, PacketRecord};
-
+use crate::framework::Detail;
 /// What the producer does when a lane's packet pool is exhausted.
 ///
 /// This is the policy split between a lab replay and a wire: dropping
@@ -145,12 +142,18 @@ impl LiveConfig {
     pub const DEFAULT_RING: usize = 1024;
 
     /// Resolves the zero placeholders.
+    /// Resolves the zero placeholders.
+    ///
+    /// # Panics
+    ///
+    /// If `ring` rounds up past the largest power of two a `usize` holds.
     fn resolve(self) -> (usize, usize, usize, u64) {
         let threads = resolve_threads(self.threads);
-        let ring = if self.ring == 0 {
-            LiveConfig::DEFAULT_RING
-        } else {
-            self.ring.next_power_of_two()
+        let ring = match self.ring {
+            0 => LiveConfig::DEFAULT_RING,
+            ring => ring
+                .checked_next_power_of_two()
+                .unwrap_or_else(|| panic!("ring of {ring} slots has no power of two")),
         };
         let burst = if self.burst == 0 {
             MAX_BURST
@@ -224,13 +227,47 @@ impl LiveRun {
     }
 }
 
-/// One worker's fold of everything it retired.
-#[derive(Default)]
-struct LaneFold {
-    aggregate: StreamAggregate,
-    hists: PacketHists,
+/// A live worker's input: bursts dequeued from its npring lane, retired
+/// once run, with the lane's occupancy and burst-size histograms.
+struct RingLane {
+    consumer: LaneConsumer,
+    stats: RingStats,
+    burst: usize,
     occupancy: Log2Histogram,
     bursts: Log2Histogram,
+}
+
+impl Transport for RingLane {
+    fn next_burst(&mut self) -> Option<(u64, usize)> {
+        let n = self.consumer.wait_burst(self.burst);
+        if n == 0 {
+            return None;
+        }
+        // Occupancy at the dequeue: the burst plus what queued behind it.
+        self.occupancy
+            .record((n + self.consumer.occupancy()) as u64);
+        self.bursts.record(n as u64);
+        Some((self.bursts.count(), n))
+    }
+
+    fn packet(&self, i: usize) -> (u64, &Packet) {
+        let view = self.consumer.packet(i);
+        (view.index(), view.packet())
+    }
+
+    fn release(&mut self) {
+        // Skipped bursts retire too: slot accounting is unconditional, so
+        // `produced == dropped + retired` survives a failure.
+        self.consumer.retire_burst();
+    }
+
+    fn queued(&self) -> u64 {
+        self.consumer.occupancy() as u64
+    }
+
+    fn dropped(&self) -> u64 {
+        self.stats.dropped()
+    }
 }
 
 impl Engine {
@@ -243,187 +280,102 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// The failing packet with the lowest global index (worker
-    /// failures), else the source's open/read error. On error the run
-    /// cancels: the producer stops, workers drain and retire without
-    /// simulating, and every thread joins before this returns.
+    /// The error of the lowest-indexed failing packet among those not
+    /// dropped, or the source's open/read error if no earlier packet
+    /// failed. On error the producer stops, workers retire what is left
+    /// without simulating it, and every thread joins before this returns.
+    ///
+    /// # Panics
+    ///
+    /// If `config.ring` rounds up past the largest power of two a `usize`
+    /// holds.
     pub fn run_live(
         &self,
         spec: &SourceSpec,
         detail: Detail,
         config: LiveConfig,
     ) -> Result<LiveRun, BenchError> {
+        self.live(spec, detail, config).map_err(|(_, e)| e)
+    }
+
+    /// [`Engine::run_live`], failing with the failing packet's index.
+    pub(crate) fn live(
+        &self,
+        spec: &SourceSpec,
+        detail: Detail,
+        config: LiveConfig,
+    ) -> Result<LiveRun, (u64, BenchError)> {
         let (threads, ring, burst, loops) = config.resolve();
         let start = Instant::now();
-
-        let mut producers = Vec::with_capacity(threads);
-        let mut consumers = Vec::with_capacity(threads);
+        let (mut producers, mut inputs) = (Vec::new(), Vec::new());
         for npring::Lane { producer, consumer } in (0..threads).map(|_| lane(ring)) {
             producers.push(producer);
-            consumers.push(consumer);
+            let (stats, hists) = (consumer.stats(), config.metrics.then(PacketHists::default));
+            let (occupancy, bursts) = Default::default();
+            let lane = RingLane {
+                consumer,
+                stats,
+                burst,
+                occupancy,
+                bursts,
+            };
+            let aggregate = StreamAggregate::new();
+            inputs.push((lane, Fold { aggregate, hists }, NullObserver));
         }
-        // Stats handles survive the producer/consumer moves; they are
-        // read after join, when every counter is final.
+        // Stats handles survive the producer moves; their totals are
+        // final after join.
         let ring_stats: Vec<RingStats> = producers.iter().map(|p| p.stats()).collect();
-
-        let cancelled = AtomicBool::new(false);
-        let failure: Mutex<Option<(u64, BenchError)>> = Mutex::new(None);
-        let source_error: Mutex<Option<BenchError>> = Mutex::new(None);
-
-        let mut workers: Vec<WorkerMetrics> = Vec::with_capacity(threads);
-        let mut folds: Vec<LaneFold> = Vec::with_capacity(threads);
-        let mut lanes: Vec<LaneTelemetry> = Vec::new();
-
+        let total = |count: fn(&RingStats) -> u64| -> u64 { ring_stats.iter().map(count).sum() };
+        let producer = |failure: &Failure| {
+            let mut pacer = Pacer::new(config.rate);
+            let lane = self.read_source(
+                start,
+                threads,
+                (loops, config.cap),
+                failure,
+                || spec.open().map_err(BenchError::from),
+                |index, shard, packet, _| {
+                    pacer.pace();
+                    match config.on_full {
+                        OnFull::Drop => producers[shard].offer(index, &packet),
+                        OnFull::Wait => {
+                            producers[shard].offer_wait(index, &packet, || failure.above(index))
+                        }
+                    };
+                },
+                || Sample {
+                    // Offered packets neither dropped nor yet retired.
+                    queue_depth: total(RingStats::produced)
+                        - total(RingStats::dropped)
+                        - total(RingStats::retired),
+                    ring_dropped: total(RingStats::dropped),
+                    ..Sample::default()
+                },
+            );
+            // Close *after* the final offers: a consumer that observes
+            // the closed flag and then drains an empty ring has seen
+            // everything (Release/Acquire pairing in `npring::pool`).
+            producers.iter_mut().for_each(LaneProducer::close);
+            lane
+        };
         let progress = |n: u64| format!("pb live: {n} packets");
-        self.monitored(start, progress, |monitor| {
-            std::thread::scope(|scope| {
-                let producer = {
-                    let cancelled = &cancelled;
-                    let source_error = &source_error;
-                    let mut producers = producers;
-                    scope.spawn(move || {
-                        let mut pacer = Pacer::new(config.rate);
-                        // The producer lane samples on the wall clock
-                        // only; deterministic timelines are built from
-                        // worker-side logical deltas alone.
-                        let mut lane = LaneTelemetry::wall(self.timeline, threads, start);
-                        let mut global = 0u64;
-                        'produce: for loop_id in 0..loops {
-                            let opened = match spec.open() {
-                                Ok(source) => source,
-                                Err(e) => {
-                                    *source_error.lock().unwrap() = Some(BenchError::from(e));
-                                    break 'produce;
-                                }
-                            };
-                            let mut source: Box<dyn PacketSource + Send> = match config.cap {
-                                Some(n) => Box::new(Limited::new(opened, n)),
-                                None => opened,
-                            };
-                            let loop_began = Instant::now();
-                            let mut loop_packets = 0u64;
-                            loop {
-                                if cancelled.load(Ordering::Acquire) {
-                                    break 'produce;
-                                }
-                                match source.next_packet() {
-                                    Ok(Some(packet)) => {
-                                        pacer.pace();
-                                        let shard =
-                                            self.shard_of(global as usize, &packet, threads);
-                                        let accepted = match config.on_full {
-                                            OnFull::Drop => producers[shard].offer(global, &packet),
-                                            OnFull::Wait => {
-                                                producers[shard].offer_wait(global, &packet, || {
-                                                    cancelled.load(Ordering::Acquire)
-                                                })
-                                            }
-                                        };
-                                        if !accepted {
-                                            if let Some(counters) = monitor {
-                                                counters.add(&WorkerMetrics {
-                                                    ring_dropped: 1,
-                                                    ..WorkerMetrics::default()
-                                                });
-                                            }
-                                        }
-                                        global += 1;
-                                        loop_packets += 1;
-                                        if let Some(LaneTelemetry::Wall(sampler, _)) = &mut lane {
-                                            if sampler.on_packet() {
-                                                let queued: usize =
-                                                    producers.iter().map(|p| p.queued()).sum();
-                                                let dropped: u64 = producers
-                                                    .iter()
-                                                    .map(|p| p.stats().dropped())
-                                                    .sum();
-                                                sampler.push(Sample {
-                                                    queue_depth: queued as u64,
-                                                    ring_dropped: dropped,
-                                                    ..Sample::default()
-                                                });
-                                            }
-                                        }
-                                    }
-                                    Ok(None) => {
-                                        if let Some(lane) = &mut lane {
-                                            lane.span(
-                                                Stage::Read,
-                                                loop_id,
-                                                loop_began,
-                                                loop_packets,
-                                            );
-                                        }
-                                        break;
-                                    }
-                                    Err(e) => {
-                                        *source_error.lock().unwrap() = Some(BenchError::from(e));
-                                        break 'produce;
-                                    }
-                                }
-                            }
-                        }
-                        // Close *after* the final pushes: a consumer that
-                        // observes the closed flag and then drains an
-                        // empty ring has seen everything (Release/Acquire
-                        // pairing in `npring::pool`).
-                        for p in &mut producers {
-                            p.close();
-                        }
-                        lane
-                    })
-                };
-
-                let handles: Vec<_> = consumers
-                    .into_iter()
-                    .enumerate()
-                    .map(|(w, consumer)| {
-                        let core = WorkerCore::new(self, w, detail, NullObserver, monitor, start);
-                        let (cancelled, failure) = (&cancelled, &failure);
-                        scope.spawn(move || {
-                            live_worker(core, consumer, burst, config.metrics, cancelled, failure)
-                        })
-                    })
-                    .collect();
-
-                lanes.extend(producer.join().expect("producer thread never panics"));
-                for handle in handles {
-                    let (metrics, lane, fold) = handle.join().expect("live workers never panic");
-                    workers.push(metrics);
-                    lanes.extend(lane);
-                    folds.push(fold);
-                }
-            })
-        });
-
-        if let Some((_, e)) = failure.into_inner().unwrap() {
-            return Err(e);
+        let ((fold, lanes), workers, timeline) =
+            self.drive(start, detail, progress, inputs, producer, Fold::merged)?;
+        let (mut occupancy, mut bursts) = (Log2Histogram::default(), Log2Histogram::default());
+        for lane in &lanes {
+            occupancy.merge(&lane.occupancy);
+            bursts.merge(&lane.bursts);
         }
-        if let Some(e) = source_error.into_inner().unwrap() {
-            return Err(e);
-        }
-
-        let produced: u64 = ring_stats.iter().map(|s| s.produced()).sum();
-        let dropped: u64 = ring_stats.iter().map(|s| s.dropped()).sum();
-        let retired: u64 = ring_stats.iter().map(|s| s.retired()).sum();
+        let (produced, dropped) = (total(RingStats::produced), total(RingStats::dropped));
+        let retired = total(RingStats::retired);
         assert_eq!(
             produced,
             dropped + retired,
             "live ingestion identity: every offered packet is dropped or retired"
         );
-
-        let mut merged = LaneFold::default();
-        for fold in &folds {
-            merged.aggregate.merge(&fold.aggregate);
-            merged.hists.merge(&fold.hists);
-            merged.occupancy.merge(&fold.occupancy);
-            merged.bursts.merge(&fold.bursts);
-        }
-
-        let timeline = self.close_run(start, threads, &mut workers, lanes);
         Ok(LiveRun {
-            aggregate: merged.aggregate,
-            hists: merged.hists,
+            aggregate: fold.aggregate,
+            hists: fold.hists.unwrap_or_default(),
             workers,
             threads,
             ring,
@@ -432,111 +384,12 @@ impl Engine {
             produced,
             dropped,
             retired,
-            occupancy: merged.occupancy,
-            bursts: merged.bursts,
+            occupancy,
+            bursts,
             elapsed: start.elapsed(),
             timeline,
         })
     }
-}
-
-/// One live worker: burst-dequeue, run every view in place through the
-/// shared worker core, retire the burst. Each burst is one busy stretch.
-/// On failure (its own or another worker's, via `cancelled`) the worker
-/// keeps draining and retiring *without* simulating, so the producer
-/// never wedges on a full pool and the retire accounting stays exact.
-fn live_worker(
-    mut core: WorkerCore<'_>,
-    mut consumer: LaneConsumer,
-    burst: usize,
-    collect_hists: bool,
-    cancelled: &AtomicBool,
-    failure: &Mutex<Option<(u64, BenchError)>>,
-) -> (WorkerMetrics, Option<LaneTelemetry>, LaneFold) {
-    let mut fold = LaneFold::default();
-    let mut failed = false;
-    let worker_start = Instant::now();
-    let record_failure = |index: u64, error: BenchError| {
-        let mut slot = failure.lock().unwrap();
-        if slot.as_ref().is_none_or(|(i, _)| index < *i) {
-            *slot = Some((index, error));
-        }
-        cancelled.store(true, Ordering::Release);
-    };
-    let mut spins = 0u32;
-    let mut draining = false;
-    loop {
-        let occupancy = consumer.occupancy() as u64;
-        let n = consumer.dequeue_burst(burst);
-        if n == 0 {
-            if draining {
-                // The closed flag was already visible before this
-                // dequeue, so the empty ring is the final state.
-                break;
-            }
-            if consumer.is_closed() {
-                draining = true;
-            } else {
-                spins += 1;
-                if spins.is_multiple_of(256) {
-                    std::thread::yield_now();
-                } else {
-                    std::hint::spin_loop();
-                }
-            }
-            continue;
-        }
-        draining = false;
-        spins = 0;
-        fold.bursts.record(n as u64);
-        fold.occupancy.record(occupancy);
-        core.begin();
-        if !failed && !cancelled.load(Ordering::Acquire) {
-            for i in 0..n {
-                let view = consumer.packet(i);
-                let index = view.index();
-                let mut record = PacketRecord::empty();
-                let backlog = || (consumer.occupancy() as u64, consumer.stats().dropped());
-                let bench = match core.step(index, &view, &mut record, backlog) {
-                    Ok(bench) => bench,
-                    Err(error) => {
-                        record_failure(index, error);
-                        failed = true;
-                        break;
-                    }
-                };
-                fold.aggregate.add_record(&record);
-                if collect_hists {
-                    let blocks = bench.block_map().blocks_executed(&record.stats.executed);
-                    fold.hists.record(
-                        record.stats.instret,
-                        record.stats.mem.packet_total(),
-                        record.stats.mem.non_packet_total(),
-                        blocks.count() as u64,
-                    );
-                }
-            }
-            // Emitted packets are not part of the aggregate; drop them
-            // per burst so they cannot accumulate.
-            core.take_outputs();
-        }
-        core.end();
-        // Retire even when simulation was skipped: slot accounting is
-        // unconditional, so `produced == dropped + retired` survives
-        // cancellation.
-        consumer.retire_burst();
-    }
-    let stats = consumer.stats();
-    let (metrics, mut lane, NullObserver) = core.finish(stats.produced(), stats.dropped());
-    if let Some(lane) = &mut lane {
-        lane.span(
-            Stage::Exec,
-            metrics.worker as u64,
-            worker_start,
-            metrics.packets,
-        );
-    }
-    (metrics, lane, fold)
 }
 
 #[cfg(test)]

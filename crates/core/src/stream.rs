@@ -2,7 +2,7 @@
 //!
 //! `Engine::run` materializes the whole trace before any packet executes,
 //! so peak memory grows linearly with trace length. This module feeds the
-//! same sharded workers from a pull-based [`PacketSource`] through a
+//! engine's workers from a pull-based [`PacketSource`] through a
 //! fixed-capacity pipeline, so memory use is a function of the
 //! configuration alone:
 //!
@@ -12,71 +12,63 @@
 //!
 //! (each worker buffers at most one chunk of partially-filled shard
 //! buffer on the reader side, plus at most `max_inflight` dispatched
-//! chunks anywhere between reader flush and merger fold).
+//! chunks anywhere between reader flush and the end of their run).
 //!
 //! ## Pipeline
 //!
-//! * A **reader** thread pulls packets from the source, assigns each its
-//!   global trace index, and shards it with the exact rule batch runs use
-//!   ([`Engine::shard_of`]). Per-shard buffers flush as fixed-size
-//!   [`Chunk`]s; before dispatching a chunk the reader acquires one
-//!   permit from a [`Semaphore`] sized `max_inflight`, then pushes the
-//!   chunk to the owning worker's input queue and the worker's id to a
-//!   shared `order` queue. Flush order is a pure function of the trace,
-//!   the sharding rule, and `chunk_size` — never of thread timing.
-//! * **Workers** (one per shard) are thin loops around the engine's
-//!   shared worker core (see [`crate::engine`]): each pops chunks FIFO,
-//!   runs every packet through the core's per-packet step at its global
-//!   trace index — the batch clock — folds the records into a per-chunk
-//!   [`StreamAggregate`], discards emitted output packets, and pushes one
-//!   outcome per chunk to its result queue.
-//! * The **merger** (the calling thread) pops worker ids from `order` and
-//!   the matching outcome from that worker's result queue, releases the
-//!   chunk's permit, and merges aggregates *in flush order*.
+//! * A **reader** thread runs the engine's source loop
+//!   ([`Engine::read_source`]): it pulls packets from the source, gives
+//!   each its global trace index, and shards it with the exact rule batch
+//!   runs use ([`Engine::shard_of`]). Per-shard buffers flush as
+//!   fixed-size [`Chunk`]s; before dispatching a chunk the reader
+//!   acquires one permit from a [`Semaphore`] sized `max_inflight`, then
+//!   pushes the chunk to the owning worker's input queue.
+//! * **Workers** (one per shard) run the engine's worker loop (see
+//!   [`crate::engine`]): each pops chunks FIFO, runs every packet at its
+//!   global trace index — the batch clock — folds it into the worker's
+//!   own [`StreamAggregate`], drops emitted output packets, and releases
+//!   the chunk's permit.
+//! * After join, the calling thread merges the per-worker folds.
 //!
 //! ## Determinism
 //!
 //! Per-packet results are bit-identical to the batch engine's: the shard
 //! rule, each worker's FIFO processing order, and the global-index clock
 //! are all the same, so every `PacketRecord` matches the batch run's
-//! record for that index. The merge order (flush order) is deterministic,
-//! and [`StreamAggregate`] folds are exact integer sums plus an exact
-//! histogram — associative and commutative — so the merged aggregate
-//! equals the serial trace-order fold at **any** thread count and chunk
-//! size. `pb stream` therefore prints byte-identical reports to `pb run`.
+//! record for that index. [`StreamAggregate`] folds are exact integer
+//! sums plus an exact histogram — associative and commutative — so the
+//! merged per-worker folds equal the serial trace-order fold at **any**
+//! thread count and chunk size. `pb stream` therefore prints
+//! byte-identical reports to `pb run`.
 //!
 //! ## Why it cannot deadlock
 //!
-//! Every queue's capacity equals the permit count, and a permit is held
-//! for a chunk's whole life (reader flush → merger fold): workers and the
-//! reader can never block on a full queue, only the semaphore blocks the
-//! reader, and the merger only waits on outcomes of chunks already inside
-//! the pipeline. The wait graph is acyclic for any `max_inflight >= 1`;
-//! see DESIGN.md for the full argument.
+//! Only the reader waits on a permit, and every permit belongs to a
+//! chunk that is queued to, or running on, a worker that waits on
+//! nothing but its own input queue: the worker runs it and releases the
+//! permit. Every queue's capacity equals the permit count, so no push
+//! blocks. The wait graph is acyclic for any `max_inflight >= 1`; see
+//! DESIGN.md.
 //!
-//! On error the pipeline cancels: the failing worker reports one
-//! `Failed` outcome and skips its later chunks; the merger — which sees
-//! outcomes in flush order — records the first failure, raises a
-//! cancellation flag for the reader, and keeps draining (releasing
-//! permits) so every thread unblocks. Because outcomes merge in flush
-//! order and each worker fails at its earliest failing chunk, the
-//! reported error is deterministic.
+//! On error the run reports the failing packet with the lowest trace
+//! index (see [`crate::engine`]): the reader stops reading but still
+//! flushes its partial chunks, and workers skip only packets above the
+//! lowest failure, releasing every permit.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::cell::Cell;
 use std::time::{Duration, Instant};
 
 use nettrace::{Packet, PacketSource};
-use npobs::timeline::{Sample, Stage, Timeline};
+use npobs::timeline::{LaneTelemetry, Sample, Stage, Timeline};
 use npsim::NullObserver;
 use npstream::{BoundedQueue, Chunk, Semaphore, ShardBuffers};
 
 use crate::analysis::StreamAggregate;
 use crate::engine::{
-    nanos, per_sec, resolve_threads, Engine, LaneTelemetry, WorkerCore, WorkerMetrics,
+    nanos, per_sec, resolve_threads, Engine, Failure, Fold, Transport, WorkerMetrics,
 };
 use crate::error::BenchError;
-use crate::framework::{Detail, PacketRecord};
+use crate::framework::Detail;
 
 /// Sizing of the streaming pipeline. Zeros mean "pick a default":
 /// `threads = 0` uses available parallelism, `chunk_size = 0` uses
@@ -88,9 +80,10 @@ pub struct StreamConfig {
     pub threads: usize,
     /// Packets per dispatched chunk (0 = default).
     pub chunk_size: usize,
-    /// Chunks allowed in flight between reader and merger (0 = default).
-    /// This is the backpressure window: the reader stalls once
-    /// `max_inflight` chunks are dispatched but not yet folded.
+    /// Chunks allowed in flight between reader flush and the end of
+    /// their run (0 = default). This is the backpressure window: the
+    /// reader stalls once `max_inflight` chunks are dispatched but not yet
+    /// run.
     pub max_inflight: usize,
 }
 
@@ -156,18 +149,34 @@ impl StreamRun {
     }
 }
 
-/// One worker's verdict on one chunk. Exactly one outcome is pushed per
-/// dispatched chunk, so the merger's drain always terminates.
-enum ChunkOutcome {
-    /// Every packet in the chunk processed; here is the chunk's fold.
-    Stats(StreamAggregate),
-    /// A packet failed; the chunk's fold is abandoned. The failing
-    /// packet's trace index is deterministic (first failure in chunk
-    /// flush order) even though only the error is carried.
-    Failed(BenchError),
-    /// Skipped without processing (an earlier chunk on this worker
-    /// failed, or the run was cancelled).
-    Skipped,
+/// A stream worker's input: chunks from the reader, tagged with their
+/// dispatch-order id; a chunk's permit goes back once it has run.
+struct ChunkLane<'a> {
+    input: &'a BoundedQueue<(u64, Chunk<Packet>)>,
+    permits: &'a Semaphore,
+    chunk: Vec<(u64, Packet)>,
+}
+
+impl Transport for ChunkLane<'_> {
+    fn next_burst(&mut self) -> Option<(u64, usize)> {
+        let (id, chunk) = self.input.pop()?;
+        self.chunk = chunk.items;
+        Some((id, self.chunk.len()))
+    }
+
+    fn packet(&self, i: usize) -> (u64, &Packet) {
+        let (index, packet) = &self.chunk[i];
+        (*index, packet)
+    }
+
+    fn release(&mut self) {
+        self.chunk = Vec::new();
+        self.permits.release();
+    }
+
+    fn queued(&self) -> u64 {
+        self.input.len() as u64
+    }
 }
 
 impl Engine {
@@ -178,8 +187,9 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// The first failing packet in chunk flush order (deterministic for a
-    /// given configuration), or the source's read error.
+    /// The error of the lowest-indexed failing packet, or the source's
+    /// read error if no earlier packet failed — the error a serial run
+    /// would have stopped at.
     pub fn run_streaming<S>(
         &self,
         source: S,
@@ -189,192 +199,86 @@ impl Engine {
     where
         S: PacketSource + Send,
     {
+        self.stream(source, detail, config).map_err(|(_, e)| e)
+    }
+
+    /// [`Engine::run_streaming`], failing with the failing packet's index.
+    pub(crate) fn stream<S: PacketSource + Send>(
+        &self,
+        source: S,
+        detail: Detail,
+        config: StreamConfig,
+    ) -> Result<StreamRun, (u64, BenchError)> {
         let (threads, chunk_size, max_inflight) = config.resolve();
         let start = Instant::now();
-
-        // One permit per in-flight chunk; every queue's capacity matches
-        // the permit count so only the semaphore can block the reader and
-        // nothing can block a worker's push (see module docs). Chunks
-        // carry their dispatch-order id so worker spans and merger folds
-        // agree on naming.
+        // One permit per chunk from reader flush to the end of its run;
+        // every queue holds as many chunks as there are permits, so no
+        // push blocks (see module docs).
         let permits = Semaphore::new(max_inflight);
-        let order: BoundedQueue<usize> = BoundedQueue::new(max_inflight);
-        let inputs: Vec<BoundedQueue<(u64, Chunk<Packet>)>> = (0..threads)
+        let queues: Vec<BoundedQueue<(u64, Chunk<Packet>)>> = (0..threads)
             .map(|_| BoundedQueue::new(max_inflight))
             .collect();
-        let results: Vec<BoundedQueue<ChunkOutcome>> = (0..threads)
-            .map(|_| BoundedQueue::new(max_inflight))
-            .collect();
-        let cancelled = AtomicBool::new(false);
-        let source_error: Mutex<Option<BenchError>> = Mutex::new(None);
-
-        let mut workers: Vec<WorkerMetrics> = Vec::with_capacity(threads);
-        let mut lanes: Vec<LaneTelemetry> = Vec::new();
-        let mut aggregate = StreamAggregate::new();
-        let mut chunks = 0u64;
-        let mut first_error: Option<BenchError> = None;
-        // The wall-clock sampler lanes: workers 0..threads, the reader at
-        // `threads`, the merger at `threads + 1`. Deterministic timelines
-        // sample only inside workers (per-packet logical deltas).
-        let mut merger_lane = LaneTelemetry::wall(self.timeline, threads + 1, start);
-
-        let progress = |n: u64| format!("pb: {n} packets streamed");
-        self.monitored(start, progress, |monitor| {
-            std::thread::scope(|scope| {
-                let reader = {
-                    let permits = &permits;
-                    let order = &order;
-                    let inputs = &inputs;
-                    let cancelled = &cancelled;
-                    let source_error = &source_error;
-                    let mut source = source;
-                    scope.spawn(move || {
-                        let mut buffers: ShardBuffers<Packet> =
-                            ShardBuffers::new(threads, chunk_size);
-                        let mut lane = LaneTelemetry::wall(self.timeline, threads, start);
-                        let mut backpressure_ns = 0u64;
-                        let mut chunk_id = 0u64;
-                        let mut dispatch = |shard: usize,
-                                            chunk: Chunk<Packet>,
-                                            lane: &mut Option<LaneTelemetry>,
-                                            backpressure_ns: &mut u64|
-                         -> bool {
-                            let began = Instant::now();
-                            permits.acquire();
-                            *backpressure_ns += nanos(began.elapsed());
-                            let id = chunk_id;
-                            chunk_id += 1;
-                            let chunk_packets = chunk.len() as u64;
-                            // Input before order: once the merger learns
-                            // of a chunk, the chunk is already poppable
-                            // by its worker.
-                            let ok = inputs[shard].push((id, chunk)).is_ok()
-                                && order.push(shard).is_ok();
-                            if let Some(lane) = lane {
-                                // The read span covers the backpressure
-                                // wait plus the (non-blocking) queue
-                                // pushes.
-                                lane.span(Stage::Read, id, began, chunk_packets);
-                            }
-                            ok
-                        };
-                        'read: while !cancelled.load(Ordering::Acquire) {
-                            match source.next_packet() {
-                                Ok(Some(packet)) => {
-                                    let position = buffers.next_index() as usize;
-                                    let shard = self.shard_of(position, &packet, threads);
-                                    if let Some(LaneTelemetry::Wall(sampler, _)) = &mut lane {
-                                        if sampler.on_packet() {
-                                            let inflight =
-                                                max_inflight.saturating_sub(permits.available());
-                                            sampler.push(Sample {
-                                                queue_depth: inflight as u64,
-                                                backpressure_ns,
-                                                ..Sample::default()
-                                            });
-                                        }
-                                    }
-                                    if let Some((shard, chunk)) = buffers.push(shard, packet) {
-                                        if !dispatch(shard, chunk, &mut lane, &mut backpressure_ns)
-                                        {
-                                            break 'read;
-                                        }
-                                    }
-                                }
-                                Ok(None) => {
-                                    for (shard, chunk) in buffers.finish() {
-                                        if !dispatch(shard, chunk, &mut lane, &mut backpressure_ns)
-                                        {
-                                            break;
-                                        }
-                                    }
-                                    break 'read;
-                                }
-                                Err(e) => {
-                                    *source_error.lock().unwrap() = Some(BenchError::from(e));
-                                    break 'read;
-                                }
-                            }
-                        }
-                        // No more chunks will be dispatched: the merger's
-                        // drain ends once in-flight outcomes are folded,
-                        // and idle workers wake up and exit.
-                        order.close();
-                        for input in inputs {
-                            input.close();
-                        }
-                        lane
-                    })
-                };
-
-                let handles: Vec<_> = (0..threads)
-                    .map(|w| {
-                        let core = WorkerCore::new(self, w, detail, NullObserver, monitor, start);
-                        let (input, result, cancelled) = (&inputs[w], &results[w], &cancelled);
-                        scope.spawn(move || stream_worker(core, input, result, cancelled))
-                    })
-                    .collect();
-
-                // The merger runs here, on the caller's thread: fold
-                // outcomes in flush order, releasing each chunk's permit.
-                while let Some(w) = order.pop() {
-                    let fold_began = Instant::now();
-                    let outcome = results[w]
-                        .pop()
-                        .expect("workers push exactly one outcome per chunk");
-                    permits.release();
-                    let id = chunks;
-                    chunks += 1;
-                    let mut fold_packets = 0u64;
-                    match outcome {
-                        ChunkOutcome::Stats(agg) => {
-                            fold_packets = agg.packets();
-                            if first_error.is_none() {
-                                aggregate.merge(&agg);
-                            }
-                        }
-                        ChunkOutcome::Failed(error) => {
-                            if first_error.is_none() {
-                                first_error = Some(error);
-                                cancelled.store(true, Ordering::Release);
-                            }
-                        }
-                        ChunkOutcome::Skipped => {}
-                    }
-                    if let Some(LaneTelemetry::Wall(sampler, log)) = &mut merger_lane {
-                        // The merge span includes the wait for the
-                        // worker's outcome — merger stalls are visible,
-                        // not hidden.
-                        log.record(Stage::Merge, id, threads + 1, fold_began, fold_packets);
-                        if sampler.on_packets(fold_packets) {
-                            let inflight = max_inflight.saturating_sub(permits.available());
-                            sampler.push(Sample {
-                                queue_depth: inflight as u64,
-                                ..Sample::default()
-                            });
-                        }
-                    }
-                }
-
-                lanes.extend(reader.join().expect("reader thread never panics"));
-                for handle in handles {
-                    let (metrics, lane) = handle.join().expect("worker threads never panic");
-                    workers.push(metrics);
-                    lanes.extend(lane);
-                }
-            })
+        let inputs = queues.iter().map(|input| {
+            let chunk = Vec::new();
+            let lane = ChunkLane {
+                input,
+                permits: &permits,
+                chunk,
+            };
+            (lane, Fold::default(), NullObserver)
         });
-
-        if let Some(e) = first_error {
-            return Err(e);
-        }
-        if let Some(e) = source_error.into_inner().unwrap() {
-            return Err(e);
-        }
-        lanes.extend(merger_lane);
-        let timeline = self.close_run(start, threads, &mut workers, lanes);
+        let mut chunks = 0;
+        let reader = |failure: &Failure| {
+            let mut buffers = ShardBuffers::new(threads, chunk_size);
+            let (backpressure_ns, mut id) = (Cell::new(0), 0);
+            let mut dispatch = |(shard, chunk): (usize, Chunk<Packet>),
+                                lane: &mut Option<LaneTelemetry>| {
+                let began = Instant::now();
+                permits.acquire();
+                backpressure_ns.set(backpressure_ns.get() + nanos(began.elapsed()));
+                let packets = chunk.len() as u64;
+                queues[shard]
+                    .push((id, chunk))
+                    .expect("queues close after the last chunk");
+                if let Some(lane) = lane {
+                    // Covers the backpressure wait plus the queue push.
+                    lane.span(Stage::Read, id, began, packets);
+                }
+                id += 1;
+            };
+            let mut source = Some(source);
+            let mut lane = self.read_source(
+                start,
+                threads,
+                (1, None),
+                failure,
+                || Ok(source.take().expect("one pass")),
+                |_, shard, packet, lane| {
+                    if let Some(chunk) = buffers.push(shard, packet) {
+                        dispatch(chunk, lane);
+                    }
+                },
+                || Sample {
+                    queue_depth: max_inflight.saturating_sub(permits.available()) as u64,
+                    backpressure_ns: backpressure_ns.get(),
+                    ..Sample::default()
+                },
+            );
+            // Partial chunks go out even after a failure: the packets in
+            // them below it must still run.
+            for chunk in buffers.finish() {
+                dispatch(chunk, &mut lane);
+            }
+            queues.iter().for_each(BoundedQueue::close);
+            chunks = id;
+            lane
+        };
+        let progress = |n: u64| format!("pb: {n} packets streamed");
+        let inputs = inputs.collect();
+        let ((fold, _), workers, timeline) =
+            self.drive(start, detail, progress, inputs, reader, Fold::merged)?;
         Ok(StreamRun {
-            aggregate,
+            aggregate: fold.aggregate,
             threads,
             chunk_size,
             max_inflight,
@@ -385,47 +289,6 @@ impl Engine {
             peak_rss_kb: npstream::peak_rss_kb(),
         })
     }
-}
-
-/// One streaming worker: pop chunks FIFO, run each through the shared
-/// worker core as one busy stretch, and push one outcome per chunk. The
-/// core's bench — and with it the memo cache — lives for the worker's
-/// whole run, so entries installed in one chunk serve hits in every later
-/// chunk; emitted output packets are dropped per chunk so they cannot
-/// accumulate.
-fn stream_worker(
-    mut core: WorkerCore<'_>,
-    input: &BoundedQueue<(u64, Chunk<Packet>)>,
-    result: &BoundedQueue<ChunkOutcome>,
-    cancelled: &AtomicBool,
-) -> (WorkerMetrics, Option<LaneTelemetry>) {
-    let mut failed = false;
-    let mut enqueued = 0u64;
-    while let Some((id, chunk)) = input.pop() {
-        enqueued += chunk.len() as u64;
-        if failed || cancelled.load(Ordering::Acquire) {
-            let _ = result.push(ChunkOutcome::Skipped);
-            continue;
-        }
-        let began = core.begin();
-        let mut agg = StreamAggregate::new();
-        let run = chunk.items.iter().try_for_each(|(index, packet)| {
-            let mut record = PacketRecord::empty();
-            core.step(*index, packet, &mut record, || (input.len() as u64, 0))?;
-            agg.add_record(&record);
-            Ok(())
-        });
-        core.take_outputs();
-        core.end();
-        core.exec_span(id, began, chunk.len() as u64);
-        failed = run.is_err();
-        let _ = result.push(match run {
-            Ok(()) => ChunkOutcome::Stats(agg),
-            Err(error) => ChunkOutcome::Failed(error),
-        });
-    }
-    let (metrics, lane, NullObserver) = core.finish(enqueued, 0);
-    (metrics, lane)
 }
 
 #[cfg(test)]

@@ -152,3 +152,24 @@ fn ipv4_parse_never_panics() {
         let _ = Ipv4Header::parse(&bytes);
     }
 }
+
+#[test]
+fn tsh_reader_never_panics_on_garbage() {
+    let mut rng = StdRng::seed_from_u64(0x4e54_0008);
+    for _ in 0..500 {
+        // Up to four whole 44-byte records plus a ragged tail.
+        let bytes = arb_bytes(&mut rng, 0..200);
+        let whole = bytes.len() / 44;
+        let mut read = 0;
+        for record in TshReader::new(&bytes[..]) {
+            match record {
+                Ok(packet) => {
+                    assert_eq!(packet.data.len(), SNAP_LEN);
+                    read += 1;
+                }
+                Err(_) => break,
+            }
+        }
+        assert_eq!(read, whole, "every whole record reads");
+    }
+}

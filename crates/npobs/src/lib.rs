@@ -45,7 +45,7 @@ pub use export::{MetricsDoc, RingDoc};
 pub use heat::{BlockHeat, HeatObserver};
 pub use hist::{Log2Histogram, PacketHists};
 pub use stamp::Stamp;
-pub use status::StatusLine;
+pub use status::{MonitorCounters, StatusLine};
 pub use timeline::{
-    LogicalSeries, Sample, Span, SpanLog, Stage, Timeline, TimelineSpec, WallSampler,
+    LaneTelemetry, LogicalSeries, Sample, Span, SpanLog, Stage, Timeline, TimelineSpec, WallSampler,
 };

@@ -16,10 +16,17 @@
 //! * when stderr is a terminal, [`StatusLine::refresh`] redraws in place
 //!   with `\r` (and clears the tail); when it is a pipe or file, each
 //!   refresh becomes an ordinary line so logs stay greppable.
+//!
+//! [`MonitorCounters`] holds what the `--progress`/`--watch` line shows:
+//! live sums of every worker's [`WorkerStat`] columns, and the loop that
+//! redraws the line from them.
 
 use std::io::{IsTerminal, Write};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
+
+use crate::export::WorkerStat;
 
 #[derive(Debug)]
 struct Inner {
@@ -134,6 +141,84 @@ impl StatusLine {
         let mut err = std::io::stderr().lock();
         let _ = err.write_all(buf.as_bytes());
         let _ = err.flush();
+    }
+}
+
+/// Live per-column sums of every worker's [`WorkerStat`] counters, read
+/// by the `--progress`/`--watch` status line. Workers add with `Relaxed`
+/// increments: the sums order nothing.
+pub struct MonitorCounters([AtomicU64; WorkerStat::COLUMNS.len()]);
+
+impl Default for MonitorCounters {
+    fn default() -> MonitorCounters {
+        MonitorCounters(std::array::from_fn(|_| AtomicU64::new(0)))
+    }
+}
+
+impl MonitorCounters {
+    /// Adds what `now` gained over `seen`, then records `now` as seen.
+    pub fn publish(&self, now: &WorkerStat, seen: &mut WorkerStat) {
+        let columns = self.0.iter().zip(now.counters()).zip(seen.counters_mut());
+        for ((sum, value), last) in columns {
+            if value > *last {
+                sum.fetch_add(value - *last, Ordering::Relaxed);
+                *last = value;
+            }
+        }
+    }
+
+    /// The sums so far.
+    pub fn snapshot(&self) -> WorkerStat {
+        let mut row = WorkerStat::default();
+        for (value, sum) in row.counters_mut().into_iter().zip(&self.0) {
+            *value = sum.load(Ordering::Relaxed);
+        }
+        row
+    }
+
+    /// Redraws `status` from the sums about once a second until `done`
+    /// (an unpark wakes the loop early). The line is `progress(n)` for
+    /// `n` packets plus ` dropped N` once a ring dropped a packet. With
+    /// `watch` it is redrawn in place and adds packets/sec since `start`,
+    /// ` memo NN%` once the memo was looked up, and ` trace NN/NN`
+    /// (trips/guard exits) once a trace completed.
+    pub fn report(
+        &self,
+        status: &StatusLine,
+        watch: bool,
+        start: Instant,
+        done: &AtomicBool,
+        progress: impl Fn(u64) -> String,
+    ) {
+        while !done.load(Ordering::Acquire) {
+            std::thread::park_timeout(Duration::from_secs(1));
+            let now = self.snapshot();
+            if done.load(Ordering::Acquire) || now.packets == 0 {
+                continue;
+            }
+            let text = progress(now.packets);
+            let drops = match now.ring_dropped {
+                0 => String::new(),
+                dropped => format!(" dropped {dropped}"),
+            };
+            if !watch {
+                status.emit(&format!("{text}{drops}"));
+                continue;
+            }
+            let memo = match now.memo_hits + now.memo_misses {
+                0 => String::new(),
+                n => format!(" memo {:.0}%", now.memo_hits as f64 / n as f64 * 100.0),
+            };
+            let trace = match now.trace_hits {
+                0 => String::new(),
+                hits => format!(" trace {hits}/{}", now.trace_guard_exits),
+            };
+            let pps = now.packets as f64 / start.elapsed().as_secs_f64().max(1e-9);
+            status.refresh(&format!("{text} {pps:.0} pps{memo}{trace}{drops}"));
+        }
+        if watch {
+            status.finish_refresh();
+        }
     }
 }
 

@@ -9,9 +9,10 @@
 //! * every pipeline lane (engine worker, stream reader, merger) owns a
 //!   private sampler — a bounded ring of timestamped [`Sample`]s snapped
 //!   every `interval` packets — and a private [`SpanLog`] of stage spans
-//!   (reader chunk / worker chunk / merge, tagged with chunk ids). Lanes
-//!   share nothing while the run is live; the engine merges them once,
-//!   after the last thread has joined.
+//!   (reader chunk / worker burst, tagged with chunk ids, and the run's
+//!   merge), together one [`LaneTelemetry`]. Lanes share nothing while
+//!   the run is live; [`Timeline::from_lanes`] merges them once, after
+//!   the last thread has joined.
 //! * two clocks: **wall** samples stamp nanoseconds since run start and
 //!   carry the operational counters (queue depth, busy time, backpressure
 //!   wait, memoization traffic); **logical** samples
@@ -377,6 +378,46 @@ impl LogicalSeries {
     }
 }
 
+/// One pipeline lane's in-flight telemetry: a wall-clock sampler plus span
+/// log, or a deterministic logical series. Built per lane, merged by
+/// [`Timeline::from_lanes`] once the run's threads have joined.
+pub enum LaneTelemetry {
+    /// A wall-clock lane: its sampler and its span log.
+    Wall(WallSampler, SpanLog),
+    /// A deterministic lane: per-packet deltas keyed on the trace index.
+    Logical(LogicalSeries),
+}
+
+impl LaneTelemetry {
+    /// Lane `lane`'s telemetry under `spec`, timed from `t0`.
+    pub fn new(spec: TimelineSpec, lane: usize, t0: Instant) -> LaneTelemetry {
+        if spec.deterministic {
+            LaneTelemetry::Logical(LogicalSeries::new(spec))
+        } else {
+            LaneTelemetry::Wall(
+                WallSampler::new(spec, lane, t0),
+                SpanLog::new(t0, spec.capacity),
+            )
+        }
+    }
+
+    /// A transport-side lane (reader, producer, merger): present on
+    /// wall-clock timelines only, since deterministic timelines sample
+    /// inside workers alone.
+    pub fn wall(spec: Option<TimelineSpec>, lane: usize, t0: Instant) -> Option<LaneTelemetry> {
+        spec.filter(|s| !s.deterministic)
+            .map(|s| LaneTelemetry::new(s, lane, t0))
+    }
+
+    /// Records a stage span on the lane's wall-clock log; logical lanes
+    /// keep no spans.
+    pub fn span(&mut self, stage: Stage, id: u64, began: Instant, packets: u64) {
+        if let LaneTelemetry::Wall(sampler, log) = self {
+            log.record(stage, id, sampler.lane(), began, packets);
+        }
+    }
+}
+
 /// The merged result of one run's telemetry: samples and spans from every
 /// lane, ordered deterministically.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -402,6 +443,27 @@ pub struct Timeline {
 }
 
 impl Timeline {
+    /// Assembles a run's lanes under `spec`: the logical series merge into
+    /// one deterministic lane, or the wall-clock samplers and span logs
+    /// merge sorted by time (worker lanes are `0..workers`).
+    pub fn from_lanes(spec: TimelineSpec, workers: usize, lanes: Vec<LaneTelemetry>) -> Timeline {
+        let (mut series, mut samplers, mut logs) = (Vec::new(), Vec::new(), Vec::new());
+        for lane in lanes {
+            match lane {
+                LaneTelemetry::Logical(lane) => series.push(lane),
+                LaneTelemetry::Wall(sampler, log) => {
+                    samplers.push(sampler);
+                    logs.push(log);
+                }
+            }
+        }
+        if spec.deterministic {
+            Timeline::from_logical(series)
+        } else {
+            Timeline::from_wall(spec.interval, workers, samplers, logs)
+        }
+    }
+
     /// Builds a wall-clock timeline from per-lane samplers and span logs.
     pub fn from_wall(
         interval: u64,

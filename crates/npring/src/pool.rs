@@ -194,12 +194,7 @@ impl LaneProducer {
                 self.stats.inner.dropped.fetch_add(1, Ordering::Relaxed);
                 return false;
             }
-            spins += 1;
-            if spins.is_multiple_of(256) {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
+            back_off(&mut spins);
         };
         self.fill_and_publish(slot, index, packet);
         true
@@ -262,6 +257,23 @@ impl LaneConsumer {
         self.pending_len
     }
 
+    /// Dequeues the next burst like [`LaneConsumer::dequeue_burst`],
+    /// spinning while the ring is empty. Returns 0 only once the producer
+    /// has closed the lane and every packet it offered was dequeued.
+    pub fn wait_burst(&mut self, max: usize) -> usize {
+        let (mut spins, mut closed) = (0u32, false);
+        loop {
+            let n = self.dequeue_burst(max);
+            if n > 0 || closed {
+                // A close observed before an empty dequeue is final: the
+                // close store is Release-ordered after the last publish.
+                return n;
+            }
+            closed = self.is_closed();
+            back_off(&mut spins);
+        }
+    }
+
     /// Borrows a zero-copy view of the `i`-th pending packet. The view
     /// borrows `self`, so it cannot outlive the burst: `retire_burst`
     /// takes `&mut self`, which the borrow checker refuses while any
@@ -309,16 +321,31 @@ impl LaneConsumer {
     }
 }
 
+/// One step of a spin-wait: a spin hint, and every 256th step a yield.
+fn back_off(spins: &mut u32) {
+    *spins += 1;
+    if spins.is_multiple_of(256) {
+        std::thread::yield_now();
+    } else {
+        std::hint::spin_loop();
+    }
+}
+
 /// A zero-copy, read-only borrow of a packet sitting in its pool slot.
 /// Dereferences to [`Packet`]; lifetime-bound to the burst it came from.
 pub struct PacketView<'a> {
     mbuf: &'a Mbuf,
 }
 
-impl PacketView<'_> {
+impl<'a> PacketView<'a> {
     /// The global packet index stamped by the producer at offer time.
     pub fn index(&self) -> u64 {
         self.mbuf.index
+    }
+
+    /// The packet, borrowed for as long as the burst it came from.
+    pub fn packet(&self) -> &'a Packet {
+        &self.mbuf.packet
     }
 }
 
@@ -400,6 +427,35 @@ mod tests {
         consumer.retire_burst();
         assert_eq!(stats.retired(), 6);
         assert_eq!(stats.produced(), stats.dropped() + stats.retired());
+    }
+
+    #[test]
+    fn wait_burst_delivers_everything_then_reports_the_close() {
+        const TOTAL: u64 = 500;
+        let Lane {
+            mut producer,
+            mut consumer,
+        } = lane(4);
+        let worker = std::thread::spawn(move || {
+            let mut seen = Vec::new();
+            loop {
+                let n = consumer.wait_burst(3);
+                if n == 0 {
+                    break;
+                }
+                seen.extend((0..n).map(|i| consumer.packet(i).index()));
+                consumer.retire_burst();
+            }
+            seen
+        });
+        let p = packet(2, 16);
+        for i in 0..TOTAL {
+            assert!(producer.offer_wait(i, &p, || false));
+        }
+        producer.close();
+        let seen = worker.join().unwrap();
+        assert!(seen.into_iter().eq(0..TOTAL), "every packet once, in order");
+        assert_eq!(producer.stats().retired(), TOTAL);
     }
 
     /// Satellite: drain-on-EOF retires every accepted packet exactly

@@ -7,14 +7,14 @@
 //! (threads, chunk size, in-flight window), never of the packet count:
 //!
 //! * [`BoundedQueue`] — fixed-capacity blocking queues coupling the
-//!   pipeline stages (reader → shard workers → merger) with explicit
-//!   backpressure,
+//!   reader to the shard workers,
 //! * [`Semaphore`] — the in-flight chunk window: one permit per chunk
-//!   from reader flush to merger fold, capping total buffered packets,
+//!   from reader flush until a worker has run it, capping total buffered
+//!   packets and so applying backpressure to the reader,
 //! * [`Chunk`] / [`ShardBuffers`] — deterministic chunk building over the
-//!   sharded packet stream, so flush order (and with it the merge order)
-//!   depends only on trace, sharding, and chunk size — never on thread
-//!   timing,
+//!   sharded packet stream: flush order depends only on trace, sharding,
+//!   and chunk size — never on thread timing — and each worker's chunks
+//!   carry its packets in trace order,
 //! * [`SourceSpec`] — parsing of `pb stream` source strings
 //!   (`capture.pcap`, `trace.tsh`, `synth:mra:seed=42:packets=10000000`)
 //!   into [`nettrace::PacketSource`] instances,
@@ -27,14 +27,12 @@
 //!
 //! ## Why the pipeline cannot deadlock
 //!
-//! Producers block only on queue capacity or on the permit semaphore;
-//! permits are released by the merger, which only ever waits on a result
-//! queue whose chunk is already inside the pipeline (its permit is held,
-//! so a worker holds it or will pop it next — no further permit is needed
-//! for it to reach the merger). Workers never block on pushes because
-//! every queue's capacity equals the permit count. The wait graph is
-//! acyclic, so progress is guaranteed for any `max_inflight >= 1`; see
-//! DESIGN.md for the full argument.
+//! Only the reader waits on a permit, and every permit held belongs to a
+//! chunk that is queued to, or running on, a worker. Workers wait on
+//! nothing but their own input queue, so each runs its chunk and releases
+//! the permit. No push blocks, because every queue's capacity equals the
+//! permit count. The wait graph is acyclic, so progress is guaranteed for
+//! any `max_inflight >= 1`; see DESIGN.md for the full argument.
 
 pub mod chunk;
 pub mod queue;

@@ -1,12 +1,11 @@
 //! A counting semaphore bounding the number of in-flight chunks.
 //!
 //! The streaming pipeline acquires one permit per chunk when the reader
-//! flushes it and releases the permit when the merger has folded the
-//! chunk's results into the aggregate. The permit count is therefore a
-//! hard ceiling on how many chunks exist anywhere between the reader and
-//! the merger — input queues, worker hands, and result queues combined —
-//! which is what makes the pipeline's memory bound independent of trace
-//! length.
+//! flushes it, and the worker releases the permit once it has run the
+//! chunk. The permit count is therefore a hard ceiling on how many chunks
+//! exist anywhere past the reader — input queues and worker hands
+//! combined — which is what makes the pipeline's memory bound independent
+//! of trace length.
 
 use std::sync::{Condvar, Mutex};
 

@@ -241,6 +241,24 @@ fn zero_sizings_are_usage_errors() {
 }
 
 #[test]
+fn ring_without_a_power_of_two_is_a_usage_error_naming_the_value() {
+    // 2^63 + 1 rounds up past the largest `usize` power of two; the
+    // value is rejected before any pool is sized.
+    assert_usage_error(
+        &[
+            "live",
+            "trie",
+            "synth:mra:seed=1:packets=10",
+            "--threads",
+            "1",
+            "--ring",
+            "9223372036854775809",
+        ],
+        "bad --ring value `9223372036854775809`",
+    );
+}
+
+#[test]
 fn bad_on_full_is_a_usage_error() {
     assert_usage_error(
         &["live", "trie", "synth:mra:packets=10", "--on-full", "stall"],

@@ -3,8 +3,9 @@
 //! produce bit-identical per-packet records, aggregate statistics, and
 //! output packets to the serial run.
 
+use nettrace::pcap::PcapWriter;
 use nettrace::synth::{SyntheticTrace, TraceProfile};
-use nettrace::{Limited, Packet};
+use nettrace::{Limited, LinkType, Packet, Timestamp};
 use nprng::{Rng, SeedableRng, StdRng};
 use npstream::SourceSpec;
 use packetbench::analysis::StreamAggregate;
@@ -288,69 +289,116 @@ impl Shape {
     }
 }
 
+/// Writes `packets` to a fresh raw-IP pcap file in the temp directory.
+fn write_pcap(packets: &[Packet], name: &str) -> std::path::PathBuf {
+    let path = std::env::temp_dir().join(format!("{name}_{}.pcap", std::process::id()));
+    let file = std::fs::File::create(&path).unwrap();
+    let mut writer = PcapWriter::new(file, LinkType::Raw, 65_535).unwrap();
+    for packet in packets {
+        writer.write_packet(packet).unwrap();
+    }
+    writer.into_inner().unwrap();
+    path
+}
+
 #[test]
 fn batch_stream_live_and_serial_agree_on_random_shapes() {
     // The safety net for the shared worker core: over seeded random
     // shapes, the batch fold, the stream aggregate and the zero-drop live
-    // aggregate all equal a plain serial `PacketBench` pass.
+    // aggregate all equal a plain serial `PacketBench` pass. A third of
+    // the shapes also replace one or two random packets with 8-byte
+    // captures, replayed from a pcap file: then every mode must fail with
+    // the error the serial pass stops at.
     let mut rng = StdRng::seed_from_u64(2005_0320);
-    for _ in 0..24 {
+    for round in 0..24 {
         let shape = Shape::draw(&mut rng);
-        let spec = SourceSpec::parse(&shape.source).unwrap();
+        let mut spec = SourceSpec::parse(&shape.source).unwrap();
         let mut source = spec.open().unwrap();
         let mut packets = Vec::new();
         while let Some(packet) = source.next_packet().unwrap() {
             packets.push(packet);
+        }
+        let mut faults = Vec::new();
+        if rng.gen_range(0..3) == 0 {
+            for _ in 0..rng.gen_range(1..3) {
+                faults.push(rng.gen_range(0..packets.len()));
+            }
+        }
+        let mut pcap = None;
+        if !faults.is_empty() {
+            for &i in &faults {
+                packets[i] = Packet::from_l3(Timestamp::default(), vec![0x45; 8]);
+            }
+            let path = write_pcap(&packets, &format!("pb_random_shape_{round}"));
+            spec = SourceSpec::Pcap(path.clone());
+            pcap = Some(path);
         }
 
         let config = WorkloadConfig::default();
         let mut bench =
             PacketBench::with_config(App::build(shape.app, &config).unwrap(), &config).unwrap();
         let mut serial = StreamAggregate::new();
-        for (i, packet) in packets.iter().enumerate() {
+        let serial_error = packets.iter().enumerate().find_map(|(i, packet)| {
             let mut record = PacketRecord::empty();
-            bench
-                .process_packet_at(i as u64, packet, Detail::counts(), &mut record)
-                .unwrap();
-            serial.add_record(&record);
-        }
+            match bench.process_packet_at(i as u64, packet, Detail::counts(), &mut record) {
+                Ok(_) => {
+                    serial.add_record(&record);
+                    None
+                }
+                Err(e) => Some(e.to_string()),
+            }
+        });
 
         let engine = Engine::new(shape.app).memo(shape.memo);
-        let run = engine
-            .run(&packets, Detail::counts(), shape.threads)
-            .unwrap();
+        let run = engine.run(&packets, Detail::counts(), shape.threads);
+        let stream = engine.run_streaming(
+            spec.open().unwrap(),
+            Detail::counts(),
+            StreamConfig {
+                threads: shape.threads,
+                chunk_size: shape.chunk_size,
+                max_inflight: shape.max_inflight,
+            },
+        );
+        let live = engine.run_live(
+            &spec,
+            Detail::counts(),
+            LiveConfig {
+                threads: shape.threads,
+                ring: shape.ring,
+                burst: shape.burst,
+                on_full: OnFull::Wait,
+                ..LiveConfig::default()
+            },
+        );
+        if let Some(path) = pcap {
+            std::fs::remove_file(path).unwrap();
+            let want = serial_error.expect("a short packet fails the serial pass");
+            let batch_error = run.err().map(|e| e.to_string());
+            assert_eq!(
+                batch_error.as_ref(),
+                Some(&want),
+                "batch, {shape:?} {faults:?}"
+            );
+            let stream_error = stream.err().map(|e| e.to_string());
+            assert_eq!(stream_error, batch_error, "stream, {shape:?} {faults:?}");
+            let live_error = live.err().map(|e| e.to_string());
+            assert_eq!(live_error, batch_error, "live, {shape:?} {faults:?}");
+            continue;
+        }
+        assert_eq!(serial_error, None, "serial, {shape:?}");
+
+        let run = run.unwrap();
         let mut batch = StreamAggregate::new();
         for record in &run.records {
             batch.add_record(record);
         }
         assert_eq!(batch, serial, "batch, {shape:?}");
 
-        let stream = engine
-            .run_streaming(
-                spec.open().unwrap(),
-                Detail::counts(),
-                StreamConfig {
-                    threads: shape.threads,
-                    chunk_size: shape.chunk_size,
-                    max_inflight: shape.max_inflight,
-                },
-            )
-            .unwrap();
+        let stream = stream.unwrap();
         assert_eq!(stream.aggregate, serial, "stream, {shape:?}");
 
-        let live = engine
-            .run_live(
-                &spec,
-                Detail::counts(),
-                LiveConfig {
-                    threads: shape.threads,
-                    ring: shape.ring,
-                    burst: shape.burst,
-                    on_full: OnFull::Wait,
-                    ..LiveConfig::default()
-                },
-            )
-            .unwrap();
+        let live = live.unwrap();
         assert_eq!(live.dropped, 0, "live, {shape:?}");
         assert_eq!(live.aggregate, serial, "live, {shape:?}");
     }
